@@ -57,8 +57,8 @@ cargo run --release -q -p twigbench --bin experiments -- --quick figT \
 
 # Figure A smoke: the cost-based planner over every figure-16 query on
 # all three datasets. The driver asserts per cell that the adaptive arm
-# is byte-equal to all four forced arms, that adaptive wall clock stays
-# within 1.1x of the best forced arm, and that the planner disables
+# is byte-equal to both fixed-pruning arms, that adaptive wall clock stays
+# within 1.1x of the faster fixed arm, and that the planner disables
 # pruning on XMark-Q2 (the measured pruning-hurts case) — so this fails
 # on any cost-model or decision regression.
 cargo run --release -q -p twigbench --bin experiments -- --quick figA \

@@ -33,3 +33,39 @@ pub use twigstack::{
     try_twig_stack_solutions_with, try_twig_stack_with, twig_stack, twig_stack_indexed,
     twig_stack_solutions, twig_stack_solutions_with, twig_stack_with, TwigStackStats,
 };
+
+use gtpquery::{Gtp, Role};
+
+/// True iff `gtp` is a *full twig*: every node is returned, no edge is
+/// optional, and there are no OR-groups or value predicates — the
+/// fragment TwigStack and TJFast implement.
+pub fn is_full_twig(gtp: &Gtp) -> bool {
+    gtp.iter()
+        .all(|q| gtp.role(q) == Role::Return && gtp.edge(q).is_none_or(|e| !e.optional))
+        && !gtp.has_or_groups()
+        && !gtp.has_value_preds()
+}
+
+/// True iff `gtp` is a single root-to-leaf chain (PathStack's fragment,
+/// together with [`is_full_twig`]).
+pub fn is_linear(gtp: &Gtp) -> bool {
+    gtp.iter().all(|q| gtp.children(q).len() <= 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gtpquery::parse_twig;
+
+    #[test]
+    fn shape_gates() {
+        let full = parse_twig("//a[b]/c").unwrap();
+        assert!(is_full_twig(&full));
+        assert!(!is_linear(&full), "a has two children");
+        let linear = parse_twig("//a/b/c").unwrap();
+        assert!(is_full_twig(&linear));
+        assert!(is_linear(&linear));
+        let gtp_ext = parse_twig("//a/b!/c").unwrap();
+        assert!(!is_full_twig(&gtp_ext));
+    }
+}

@@ -1,11 +1,11 @@
-//! Criterion bench for the cost-based planner: adaptive vs forced-arm
+//! Criterion bench for the cost-based planner: adaptive vs fixed-pruning
 //! request latency per figure-16 query, plus the planning decision cost
 //! itself (the extra work an adaptive plan-cache miss pays).
 //!
 //! Besides the console report, the run exports `BENCH_planner.json` at
 //! the repo root (schema `twig2stack.bench/v1`) with the quick-scale
-//! Figure A rows — adaptive vs best-forced wall clock, the chosen engine
-//! and pruning policy, and the prediction-vs-actual scan columns — so
+//! Figure A rows — adaptive vs best-fixed wall clock, the chosen pruning
+//! policy, and the prediction-vs-actual scan columns — so
 //! future cost-model changes have a recorded trajectory:
 //!
 //! ```text
@@ -16,7 +16,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use twigbench::workload::{treebank, treebank_queries, xmark, xmark_queries, Profile};
 use twigbench::{figa, FigARow};
-use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+use twigserve::{PlannerMode, QueryService, ServiceConfig};
+use xmlindex::PruningPolicy;
 
 fn service(ds: &twigbench::Dataset, mode: PlannerMode) -> QueryService {
     QueryService::new(
@@ -26,10 +27,11 @@ fn service(ds: &twigbench::Dataset, mode: PlannerMode) -> QueryService {
     )
 }
 
-/// Adaptive vs pinned-engine request latency on the two queries where the
-/// decision matters most: XMark-Q2 (pruning hurts; the planner turns it
-/// off) and TreeBank-Q1 (pruning saves 80%; the planner keeps it).
-fn adaptive_vs_forced(c: &mut Criterion) {
+/// Adaptive vs default `Fixed(Enabled)` request latency on the two
+/// queries where the decision matters most: XMark-Q2 (pruning hurts; the
+/// planner turns it off) and TreeBank-Q1 (pruning saves 80%; the planner
+/// keeps it).
+fn adaptive_vs_fixed(c: &mut Criterion) {
     let cases = [
         (xmark(Profile::Quick, 1), xmark_queries().swap_remove(1)),
         (treebank(Profile::Quick), treebank_queries().swap_remove(0)),
@@ -41,21 +43,21 @@ fn adaptive_vs_forced(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(400));
     for (ds, nq) in &cases {
         let adaptive = service(ds, PlannerMode::Adaptive);
-        let forced = service(ds, PlannerMode::Forced(PlanEngine::Twig2Stack));
+        let fixed = service(ds, PlannerMode::Fixed(PruningPolicy::Enabled));
         adaptive.execute(nq.text).expect("warm the adaptive cache");
-        forced.execute(nq.text).expect("warm the forced cache");
+        fixed.execute(nq.text).expect("warm the fixed cache");
         group.bench_with_input(BenchmarkId::new("adaptive", nq.name), &adaptive, |b, svc| {
             b.iter(|| svc.execute(nq.text).expect("adaptive request").len())
         });
-        group.bench_with_input(BenchmarkId::new("forced", nq.name), &forced, |b, svc| {
-            b.iter(|| svc.execute(nq.text).expect("forced request").len())
+        group.bench_with_input(BenchmarkId::new("fixed", nq.name), &fixed, |b, svc| {
+            b.iter(|| svc.execute(nq.text).expect("fixed request").len())
         });
     }
     group.finish();
 }
 
 /// The planning overhead itself: an adaptive plan-cache miss runs the
-/// cost estimate on top of the feasibility analysis a forced miss runs.
+/// cost estimate on top of the feasibility analysis a fixed miss runs.
 fn planning_cost(c: &mut Criterion) {
     let ds = treebank(Profile::Quick);
     let q = treebank_queries().swap_remove(0);
@@ -65,7 +67,7 @@ fn planning_cost(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(400));
     for (label, mode) in [
-        ("forced", PlannerMode::Forced(PlanEngine::Twig2Stack)),
+        ("fixed", PlannerMode::Fixed(PruningPolicy::Enabled)),
         ("adaptive", PlannerMode::Adaptive),
     ] {
         // Capacity 0 keeps every lookup on the miss path.
@@ -86,7 +88,7 @@ fn planning_cost(c: &mut Criterion) {
 }
 
 /// Export `BENCH_planner.json` at the repo root: the quick-scale Figure A
-/// rows (this also re-runs Fig A's soundness and ≤1.1×-of-best-forced
+/// rows (this also re-runs Fig A's soundness and ≤1.1×-of-best-fixed
 /// assertions as part of the bench).
 fn export_json(_c: &mut Criterion) {
     let mut json = String::from("{\n  \"schema\": \"twig2stack.bench/v1\",\n");
@@ -97,7 +99,6 @@ fn export_json(_c: &mut Criterion) {
         let FigARow {
             dataset,
             query,
-            engine,
             pruned,
             predicted_scan,
             actual_scan,
@@ -105,20 +106,20 @@ fn export_json(_c: &mut Criterion) {
             results,
             mispredicted,
             time_adaptive,
-            best_forced,
-            time_best_forced,
+            best_fixed,
+            time_best_fixed,
             ..
         } = r;
         json.push_str(&format!(
             "    {{\"dataset\": \"{dataset}\", \"query\": \"{query}\", \
-             \"engine\": \"{engine}\", \"pruned\": {pruned}, \
+             \"pruned\": {pruned}, \
              \"predicted_scan\": {predicted_scan}, \"actual_scan\": {actual_scan}, \
              \"predicted_results\": {predicted_results}, \"results\": {results}, \
              \"mispredicted\": {mispredicted}, \
-             \"adaptive_ns\": {}, \"best_forced\": \"{best_forced}\", \
-             \"best_forced_ns\": {}}}{}\n",
+             \"adaptive_ns\": {}, \"best_fixed\": \"{best_fixed}\", \
+             \"best_fixed_ns\": {}}}{}\n",
             time_adaptive.as_nanos(),
-            time_best_forced.as_nanos(),
+            time_best_fixed.as_nanos(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -133,5 +134,5 @@ fn export_json(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, adaptive_vs_forced, planning_cost, export_json);
+criterion_group!(benches, adaptive_vs_fixed, planning_cost, export_json);
 criterion_main!(benches);

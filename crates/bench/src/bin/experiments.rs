@@ -111,8 +111,8 @@ fn main() {
     if wants("figA") {
         let (_, report) = twigbench::figa(profile);
         println!("{report}");
-        // Named "planner": the sidecar carries the plan_choices_* and
-        // prediction counters next to the engines' actual counters.
+        // Named "planner": the sidecar carries the prediction and
+        // misprediction counters next to the engine's actual counters.
         emit_sidecar("planner", profile);
     }
     if wants("figE") {

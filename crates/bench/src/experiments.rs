@@ -753,23 +753,31 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
                 let svc = QueryService::new(ds.doc.clone(), ds.index.clone(), config);
                 let started = Instant::now();
                 std::thread::scope(|scope| {
-                    for w in 0..t {
-                        let svc = &svc;
-                        let expected = &expected;
-                        scope.spawn(move || {
-                            for r in 0..rounds {
-                                let i = (w + r) % queries.len();
-                                let rs = svc
-                                    .execute(queries[i].text)
-                                    .expect("figT query must not fail");
-                                assert_eq!(
-                                    rs, expected[i],
-                                    "service result diverged from serial evaluation \
-                                     ({} on {})",
-                                    queries[i].name, ds.name
-                                );
-                            }
-                        });
+                    let workers: Vec<_> = (0..t)
+                        .map(|w| {
+                            let svc = &svc;
+                            let expected = &expected;
+                            scope.spawn(move || {
+                                for r in 0..rounds {
+                                    let i = (w + r) % queries.len();
+                                    let rs = svc
+                                        .execute(queries[i].text)
+                                        .expect("figT query must not fail");
+                                    assert_eq!(
+                                        rs, expected[i],
+                                        "service result diverged from serial evaluation \
+                                         ({} on {})",
+                                        queries[i].name, ds.name
+                                    );
+                                }
+                                // twigobs counters are thread-local: hand
+                                // this worker's back to the calling thread.
+                                twigobs::take()
+                            })
+                        })
+                        .collect();
+                    for worker in workers {
+                        twigobs::absorb(&worker.join().expect("figT worker panicked"));
                     }
                 });
                 let elapsed = started.elapsed();
@@ -836,15 +844,14 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
     (out, report)
 }
 
-/// One query row of Figure A: the adaptive planner vs every forced arm.
+/// One query row of Figure A: the adaptive planner vs both fixed-pruning
+/// arms.
 #[derive(Debug, Clone)]
 pub struct FigARow {
     /// Dataset name.
     pub dataset: String,
     /// Query name.
     pub query: &'static str,
-    /// Engine the adaptive planner chose.
-    pub engine: &'static str,
     /// Whether the adaptive planner kept path-summary pruning on.
     pub pruned: bool,
     /// The planner's predicted stream scan (elements).
@@ -861,24 +868,24 @@ pub struct FigARow {
     /// Per-execution wall time of the adaptive arm (best-of-3 over an
     /// iteration loop).
     pub time_adaptive: Duration,
-    /// Per-execution wall time of each forced arm, in
-    /// [`twigserve::PlanEngine::ALL`] order.
-    pub time_forced: [Duration; 4],
-    /// Name of the fastest forced arm.
-    pub best_forced: &'static str,
+    /// Per-execution wall time of the `Fixed(Enabled)` and
+    /// `Fixed(Disabled)` arms, in that order.
+    pub time_fixed: [Duration; 2],
+    /// Name of the faster fixed arm (`enabled` or `disabled`).
+    pub best_fixed: &'static str,
     /// Its wall time.
-    pub time_best_forced: Duration,
+    pub time_best_fixed: Duration,
 }
 
-/// Figure A (not in the paper): cost-based adaptive engine selection vs
-/// every forced arm, over the Figure 16 queries. Per query, five
+/// Figure A (not in the paper): the cost-based adaptive pruning decision
+/// vs both fixed policies, over the Figure 16 queries. Per query, three
 /// [`twigserve::QueryService`]s answer from the same index — one
-/// adaptive, four with a forced engine — and the experiment asserts:
+/// adaptive, one `Fixed(Enabled)`, one `Fixed(Disabled)` — and the
+/// experiment asserts:
 ///
-/// 1. **soundness** — every arm's result rows are byte-identical (after
-///    document-order canonicalization);
+/// 1. **soundness** — every arm's result rows are byte-identical;
 /// 2. **no regression** — the adaptive arm's per-execution wall time is
-///    within 1.1× of the *best* forced arm (plus a small absolute slack
+///    within 1.1× of the *best* fixed arm (plus a small absolute slack
 ///    absorbing scheduler noise on microsecond-scale queries);
 /// 3. **the Fig S misprediction is gone** — on XMark-Q2, the one
 ///    figure-16 query where pruning *hurts* (the feasibility filters
@@ -889,7 +896,7 @@ pub struct FigARow {
 /// counted run's actuals — the same pairing the serve sidecar records as
 /// `plan_predicted_scan` vs `elements_scanned`.
 pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
-    use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+    use twigserve::{PlannerMode, QueryService, ServiceConfig};
 
     let iters: u32 = match profile {
         Profile::Quick => 6,
@@ -927,29 +934,24 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
             )
         };
         let adaptive = svc_for(PlannerMode::Adaptive);
-        let forced: Vec<(PlanEngine, QueryService)> = PlanEngine::ALL
-            .into_iter()
-            .map(|e| (e, svc_for(PlannerMode::Forced(e))))
-            .collect();
+        let fixed = [
+            ("enabled", svc_for(PlannerMode::Fixed(PruningPolicy::Enabled))),
+            ("disabled", svc_for(PlannerMode::Fixed(PruningPolicy::Disabled))),
+        ];
         for nq in queries {
             // Warm every arm (plans cached before anything is timed) and
-            // assert all five result sets agree byte for byte.
+            // assert all three result sets agree byte for byte.
             let expected = adaptive
                 .execute(nq.text)
-                .expect("figA adaptive query must not fail")
-                .sorted();
-            for (engine, svc) in &forced {
+                .expect("figA adaptive query must not fail");
+            for (arm, svc) in &fixed {
                 let rs = svc
                     .execute(nq.text)
-                    .expect("figA forced query must not fail")
-                    .sorted();
+                    .expect("figA fixed query must not fail");
                 assert_eq!(
-                    rs,
-                    expected,
-                    "forced {} diverged from adaptive on {}/{}",
-                    engine.name(),
-                    ds.name,
-                    nq.name
+                    rs, expected,
+                    "fixed({arm}) diverged from adaptive on {}/{}",
+                    ds.name, nq.name
                 );
             }
             let decision = adaptive.planned(nq.text).expect("plan is cached");
@@ -977,29 +979,21 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
                 best
             };
             let time_adaptive = time_arm(&adaptive);
-            let mut time_forced = [Duration::ZERO; 4];
-            for (slot, (_, svc)) in time_forced.iter_mut().zip(&forced) {
-                *slot = time_arm(svc);
-            }
-            let (best_idx, &time_best_forced) = time_forced
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, t)| **t)
-                .expect("four forced arms");
+            let time_fixed = fixed.each_ref().map(|(_, svc)| time_arm(svc));
+            let best = usize::from(time_fixed[1] < time_fixed[0]);
+            let (best_fixed, time_best_fixed) = (fixed[best].0, time_fixed[best]);
             assert!(
-                time_adaptive <= time_best_forced.mul_f64(1.1) + Duration::from_micros(60),
-                "adaptive arm regressed past 1.1x the best forced arm on {}/{}: \
-                 adaptive {:?} vs best forced {} {:?}",
+                time_adaptive <= time_best_fixed.mul_f64(1.1) + Duration::from_micros(60),
+                "adaptive arm regressed past 1.1x the best fixed arm on {}/{}: \
+                 adaptive {:?} vs best fixed({best_fixed}) {:?}",
                 ds.name,
                 nq.name,
                 time_adaptive,
-                PlanEngine::ALL[best_idx].name(),
-                time_best_forced
+                time_best_fixed
             );
             out.push(FigARow {
                 dataset: ds.name.clone(),
                 query: nq.name,
-                engine: decision.engine.name(),
                 pruned: decision.policy.is_enabled(),
                 predicted_scan: decision.predicted_scan,
                 actual_scan: counted.get(twigobs::Counter::ElementsScanned),
@@ -1007,9 +1001,9 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
                 results: expected.len(),
                 mispredicted,
                 time_adaptive,
-                time_forced,
-                best_forced: PlanEngine::ALL[best_idx].name(),
-                time_best_forced,
+                time_fixed,
+                best_fixed,
+                time_best_fixed,
             });
         }
     }
@@ -1031,7 +1025,6 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
             vec![
                 r.dataset.clone(),
                 r.query.to_string(),
-                r.engine.to_string(),
                 if r.pruned { "on" } else { "off" }.to_string(),
                 format!("{}", r.predicted_scan),
                 format!("{}", r.actual_scan),
@@ -1039,18 +1032,17 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
                 format!("{}", r.results),
                 if r.mispredicted { "MISS" } else { "ok" }.to_string(),
                 ms(r.time_adaptive),
-                ms(r.time_best_forced),
-                r.best_forced.to_string(),
+                ms(r.time_best_fixed),
+                r.best_fixed.to_string(),
             ]
         })
         .collect();
     let report = format!(
-        "Figure A — adaptive engine selection vs forced arms\n{}",
+        "Figure A — adaptive pruning decision vs fixed arms\n{}",
         render_table(
             &[
                 "dataset",
                 "query",
-                "engine",
                 "pruning",
                 "pred scan",
                 "scan",
@@ -1058,7 +1050,7 @@ pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
                 "rows",
                 "alarm",
                 "adaptive",
-                "best forced",
+                "best fixed",
                 "arm",
             ],
             &rows

@@ -6,12 +6,12 @@
 //! only adds skip-probe overhead — the planner must turn it off. On
 //! TreeBank-Q1 pruning skips ~80% of the candidate elements — the
 //! planner must keep it. These tests pin those two calls (plus the
-//! forced-mode default) so a cost-model change that flips either shows
+//! fixed-mode default) so a cost-model change that flips either shows
 //! up as a test failure, not a silent perf regression in Fig A.
 
 use twigbench::workload::{treebank, treebank_queries, xmark, xmark_queries, Profile};
 use twigbench::Dataset;
-use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+use twigserve::{PlannerMode, QueryService, ServiceConfig};
 
 fn adaptive(ds: &Dataset) -> QueryService {
     QueryService::new(
@@ -30,7 +30,6 @@ fn adaptive_disables_pruning_on_xmark_q2() {
     let svc = adaptive(&ds);
     let d = svc.planned(q.text).expect("plan XMark-Q2");
     assert!(d.adaptive, "service in Adaptive mode must produce adaptive decisions");
-    assert_eq!(d.engine, PlanEngine::Twig2Stack);
     assert!(
         !d.policy.is_enabled(),
         "pruning hurts on XMark-Q2 (cover holds every person element); \
@@ -48,7 +47,6 @@ fn adaptive_keeps_pruning_on_treebank_q1() {
     let svc = adaptive(&ds);
     let d = svc.planned(q.text).expect("plan TreeBank-Q1");
     assert!(d.adaptive);
-    assert_eq!(d.engine, PlanEngine::Twig2Stack);
     assert!(
         d.policy.is_enabled(),
         "pruning skips ~80% of TreeBank-Q1's candidate elements; \
@@ -58,17 +56,16 @@ fn adaptive_keeps_pruning_on_treebank_q1() {
 }
 
 #[test]
-fn forced_default_pins_twig2stack_with_config_pruning() {
-    // The default service (PlannerMode::Forced(Twig2Stack)) must not
-    // second-guess the configured pruning policy — pinned-behaviour
-    // tests across the repo rely on this.
+fn fixed_default_keeps_pruning_on() {
+    // The default service (PlannerMode::Fixed(Enabled)) must not
+    // second-guess its pruning policy — pinned-behaviour tests across
+    // the repo rely on this.
     let ds = xmark(Profile::Quick, 1);
     let svc = QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
     for q in xmark_queries() {
         let d = svc.planned(q.text).expect("plan");
-        assert!(!d.adaptive, "{}: forced decisions are not adaptive", q.name);
-        assert_eq!(d.engine, PlanEngine::Twig2Stack, "{}", q.name);
-        assert!(d.policy.is_enabled(), "{}: forced mode keeps the config policy", q.name);
+        assert!(!d.adaptive, "{}: fixed decisions are not adaptive", q.name);
+        assert!(d.policy.is_enabled(), "{}: the default keeps pruning on", q.name);
     }
 }
 
@@ -76,17 +73,27 @@ fn forced_default_pins_twig2stack_with_config_pruning() {
 fn pinned_decisions_survive_cache_round_trips_and_match_execution() {
     // planned() on a warm cache must return the same decision the cold
     // planning pass produced, and executing afterwards must agree with
-    // the forced default service byte-for-byte.
-    let ds = treebank(Profile::Quick);
-    let svc = adaptive(&ds);
-    let oracle =
-        QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
-    for q in treebank_queries() {
-        let cold = svc.planned(q.text).expect("cold plan");
-        let warm = svc.planned(q.text).expect("warm plan");
-        assert_eq!(cold, warm, "{}: cached decision drifted", q.name);
-        let got = svc.execute(q.text).expect("adaptive execute");
-        let want = oracle.execute(q.text).expect("forced execute");
-        assert_eq!(got, want, "{}: adaptive results differ from forced", q.name);
+    // the default service byte-for-byte — on the figure-16 queries and
+    // on the generated queries the planner once routed to TJFast.
+    let census = [
+        "//*[.//i]",
+        "/*",
+        "//europe[*]",
+        "//*[closed_auctions]",
+        "//*[.//*[.//wp]]",
+    ];
+    for ds in [treebank(Profile::Quick), xmark(Profile::Quick, 1)] {
+        let svc = adaptive(&ds);
+        let oracle =
+            QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
+        let pinned = treebank_queries().into_iter().chain(xmark_queries()).map(|q| q.text);
+        for q in pinned.chain(census) {
+            let cold = svc.planned(q).expect("cold plan");
+            let warm = svc.planned(q).expect("warm plan");
+            assert_eq!(cold, warm, "{q}: cached decision drifted");
+            let got = svc.execute(q).expect("adaptive execute");
+            let want = oracle.execute(q).expect("fixed execute");
+            assert_eq!(got, want, "{q} on {}: adaptive results differ from fixed", ds.name);
+        }
     }
 }

@@ -18,9 +18,9 @@ use twig2stack::{
     evaluate_streaming, match_document, MatchOptions,
 };
 use twigbaselines::{
-    build_streams, naive_evaluate, naive_exists, path_stack, path_stack_indexed, tj_fast,
-    tj_fast_indexed, twig_stack_indexed, DeweyResolver, PathStackStats, TJFastStats,
-    TwigStackStats,
+    build_streams, is_full_twig, is_linear, naive_evaluate, naive_exists, path_stack,
+    path_stack_indexed, tj_fast, tj_fast_indexed, twig_stack_indexed, DeweyResolver,
+    PathStackStats, TJFastStats, TwigStackStats,
 };
 use xmldom::{write, Document, Indent, Label};
 use xmlindex::{DeweyIndex, EditApply, ElementIndex, MappedIndex, PruningPolicy, SliceStream};
@@ -57,9 +57,8 @@ pub enum Invariant {
     /// scan/skip counters, pruned and unpruned.
     MappedVsHeap,
     /// The service's cost-based adaptive planner returns the same rows
-    /// as every forced-engine arm (inapplicable engines fall back to
-    /// Twig²Stack) — the planner re-routes queries, it never changes
-    /// their answers.
+    /// as both fixed-pruning arms — the planner picks a pruning policy,
+    /// it never changes the answers.
     AdaptiveVsForced,
     /// Incremental index maintenance is invisible: chaining
     /// `ElementIndex::apply_edit` across a derived random edit script
@@ -197,18 +196,6 @@ fn diff(engine: &str, got: &ResultSet, expected: &ResultSet) -> Outcome {
         got.len(),
         expected.len()
     ))
-}
-
-/// `gtp` is a "full twig": the shape the classic baselines accept.
-fn is_full_twig(gtp: &Gtp) -> bool {
-    gtp.iter()
-        .all(|q| gtp.role(q) == Role::Return && gtp.edge(q).is_none_or(|e| !e.optional))
-        && !gtp.has_or_groups()
-        && !gtp.has_value_preds()
-}
-
-fn is_linear(gtp: &Gtp) -> bool {
-    gtp.iter().all(|q| gtp.children(q).len() <= 1)
 }
 
 fn cross_engine(doc: &Document, gtp: &Gtp) -> Outcome {
@@ -581,14 +568,12 @@ fn mapped_vs_heap(doc: &Document, gtp: &Gtp) -> Outcome {
 }
 
 /// Planner soundness end to end: the same query answered through a
-/// [`twigserve::QueryService`] in adaptive mode and in every forced-arm
-/// mode must produce the same rows (sorted — the baseline engines'
-/// document-order canonicalization is part of the service contract).
-/// This also exercises the forced-mode fallback: a GTP-extension query
-/// forced onto a decomposition baseline must still be answered (by
-/// Twig²Stack), never rejected or miscomputed.
+/// [`twigserve::QueryService`] in adaptive mode and with each fixed
+/// pruning policy must produce exactly the rows of serial DOM
+/// evaluation — the planner may only choose between proven-equivalent
+/// configurations.
 fn adaptive_vs_forced(doc: &Document, gtp: &Gtp) -> Outcome {
-    use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+    use twigserve::{PlannerMode, QueryService, ServiceConfig};
 
     // The service takes query *text*; the canonical serialization
     // round-trips every generated GTP, but re-parsing renumbers query
@@ -607,23 +592,11 @@ fn adaptive_vs_forced(doc: &Document, gtp: &Gtp) -> Outcome {
     if expected.len() > MAX_ROWS {
         return Outcome::Skipped("result set too large for the smoke budget");
     }
-    let expected = expected.sorted();
     let index = ElementIndex::build(doc);
     let modes = [
         ("adaptive", PlannerMode::Adaptive),
-        (
-            "forced(twig2stack)",
-            PlannerMode::Forced(PlanEngine::Twig2Stack),
-        ),
-        (
-            "forced(twigstack)",
-            PlannerMode::Forced(PlanEngine::TwigStack),
-        ),
-        (
-            "forced(pathstack)",
-            PlannerMode::Forced(PlanEngine::PathStack),
-        ),
-        ("forced(tjfast)", PlannerMode::Forced(PlanEngine::TJFast)),
+        ("fixed(enabled)", PlannerMode::Fixed(PruningPolicy::Enabled)),
+        ("fixed(disabled)", PlannerMode::Fixed(PruningPolicy::Disabled)),
     ];
     for (label, mode) in modes {
         let svc = QueryService::new(
@@ -635,8 +608,7 @@ fn adaptive_vs_forced(doc: &Document, gtp: &Gtp) -> Outcome {
             },
         );
         match svc.execute(&query) {
-            Ok(rs) => {
-                let got = rs.sorted();
+            Ok(got) => {
                 if got != expected {
                     return Outcome::Failed(format!(
                         "service({label}) differs from oracle: {} vs {} rows",

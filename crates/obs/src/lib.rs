@@ -69,7 +69,7 @@ pub const ENABLED: bool = cfg!(feature = "enabled");
 ///
 /// ```
 /// use twigobs::Counter;
-/// assert_eq!(Counter::ALL.len(), 38);
+/// assert_eq!(Counter::ALL.len(), 34);
 /// assert_eq!(Counter::EdgesCreated.name(), "edges_created");
 /// assert_eq!(Counter::PlanCacheHits.name(), "plan_cache_hits");
 /// assert_eq!(Counter::PlanMispredictions.name(), "plan_mispredictions");
@@ -120,15 +120,6 @@ pub enum Counter {
     QueriesRejected,
     /// Admitted queries aborted because their deadline expired mid-scan.
     DeadlineExceeded,
-    /// Plans the service's planner pointed at the Twig²Stack engine
-    /// (bumped once per planning event, i.e. per plan-cache miss).
-    PlanChoicesTwig2Stack,
-    /// Plans pointed at the TwigStack baseline engine.
-    PlanChoicesTwigStack,
-    /// Plans pointed at the PathStack baseline engine.
-    PlanChoicesPathStack,
-    /// Plans pointed at the TJFast baseline engine.
-    PlanChoicesTJFast,
     /// Adaptive executions whose actual scan or output count landed
     /// outside the planner's tolerance window (DESIGN.md §14) — nonzero
     /// means the cost model mis-estimated, visibly.
@@ -186,7 +177,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 34] = [
         Counter::ElementsScanned,
         Counter::StackPushes,
         Counter::Merges,
@@ -206,10 +197,6 @@ impl Counter {
         Counter::QueriesAdmitted,
         Counter::QueriesRejected,
         Counter::DeadlineExceeded,
-        Counter::PlanChoicesTwig2Stack,
-        Counter::PlanChoicesTwigStack,
-        Counter::PlanChoicesPathStack,
-        Counter::PlanChoicesTJFast,
         Counter::PlanMispredictions,
         Counter::PlanPredictedScan,
         Counter::PlanPredictedResults,
@@ -250,10 +237,6 @@ impl Counter {
             Counter::QueriesAdmitted => "queries_admitted",
             Counter::QueriesRejected => "queries_rejected",
             Counter::DeadlineExceeded => "deadline_exceeded",
-            Counter::PlanChoicesTwig2Stack => "plan_choices_twig2stack",
-            Counter::PlanChoicesTwigStack => "plan_choices_twigstack",
-            Counter::PlanChoicesPathStack => "plan_choices_pathstack",
-            Counter::PlanChoicesTJFast => "plan_choices_tjfast",
             Counter::PlanMispredictions => "plan_mispredictions",
             Counter::PlanPredictedScan => "plan_predicted_scan",
             Counter::PlanPredictedResults => "plan_predicted_results",
@@ -294,25 +277,21 @@ impl Counter {
             Counter::QueriesAdmitted => 16,
             Counter::QueriesRejected => 17,
             Counter::DeadlineExceeded => 18,
-            Counter::PlanChoicesTwig2Stack => 19,
-            Counter::PlanChoicesTwigStack => 20,
-            Counter::PlanChoicesPathStack => 21,
-            Counter::PlanChoicesTJFast => 22,
-            Counter::PlanMispredictions => 23,
-            Counter::PlanPredictedScan => 24,
-            Counter::PlanPredictedResults => 25,
-            Counter::EditsApplied => 26,
-            Counter::SnapshotRotations => 27,
-            Counter::RenumberEvents => 28,
-            Counter::EditElementsReindexed => 29,
-            Counter::PlanCacheInvalidations => 30,
-            Counter::CatalogDocsRouted => 31,
-            Counter::CatalogDocsSkipped => 32,
-            Counter::ShardQueries => 33,
-            Counter::CatalogBatches => 34,
-            Counter::SubEvents => 35,
-            Counter::SubMatcherFeeds => 36,
-            Counter::SubNotifications => 37,
+            Counter::PlanMispredictions => 19,
+            Counter::PlanPredictedScan => 20,
+            Counter::PlanPredictedResults => 21,
+            Counter::EditsApplied => 22,
+            Counter::SnapshotRotations => 23,
+            Counter::RenumberEvents => 24,
+            Counter::EditElementsReindexed => 25,
+            Counter::PlanCacheInvalidations => 26,
+            Counter::CatalogDocsRouted => 27,
+            Counter::CatalogDocsSkipped => 28,
+            Counter::ShardQueries => 29,
+            Counter::CatalogBatches => 30,
+            Counter::SubEvents => 31,
+            Counter::SubMatcherFeeds => 32,
+            Counter::SubNotifications => 33,
         }
     }
 }

@@ -1,15 +1,14 @@
 //! Path-summary cost model — the estimation half of the adaptive planner.
 //!
-//! The serving layer (`twigserve`) must pick, per cached plan, an engine
-//! (Twig²Stack / TwigStack / PathStack / TJFast), a
-//! [`PruningPolicy`](xmlindex::PruningPolicy)
-//! analog (prune or not), and full-vs-early enumeration. Everything it
+//! The serving layer (`twigserve`) must decide, per cached plan, whether
+//! path-summary pruning pays
+//! ([`PruningPolicy`](xmlindex::PruningPolicy) on or off). Everything it
 //! needs to decide is already in the index's path summary (strong
 //! DataGuide): per-sid element counts, per-sid region hulls, and the
 //! [`SummaryFeasibility`] sets the pruned streams are built from. This
 //! module turns those statistics into a [`QueryEstimate`] — predicted
-//! stream sizes, skip-scan savings, and output selectivities — plus a
-//! [`Recommendation`] derived from the decision table in DESIGN.md §14.
+//! stream sizes, skip-scan savings, and output selectivities — and the
+//! DESIGN.md §14 decision rule [`QueryEstimate::pruning_pays`].
 //!
 //! The estimates are *predictions*, recorded by the service next to the
 //! actual counters (`plan_predicted_scan` vs `elements_scanned`) so
@@ -21,64 +20,10 @@
 //! feasibility analysis the plan cache already amortizes.
 
 use crate::analysis::SummaryFeasibility;
-use crate::gtp::{Gtp, Role};
+use crate::gtp::Gtp;
 use crate::LabelDispatch;
 use xmldom::{Label, LabelTable};
 use xmlindex::{filter_worthwhile, SummaryRef, SummarySet};
-
-/// The engines the planner can select among. `twigserve` executes all
-/// four; the baselines are restricted to full-twig (and for
-/// [`PlanEngine::PathStack`], linear) queries — see [`is_full_twig`] /
-/// [`is_linear`] — and the planner never recommends an engine outside its
-/// applicability gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanEngine {
-    /// The paper's bottom-up hierarchical-stack engine: handles every GTP
-    /// (optional edges, OR-groups, non-return nodes, value predicates).
-    Twig2Stack,
-    /// Holistic path decomposition + merge join (Bruno et al.).
-    TwigStack,
-    /// Single-chain streaming joins — linear queries only.
-    PathStack,
-    /// Leaf-streams-only matching over extended Dewey labels (Lu et al.).
-    TJFast,
-}
-
-impl PlanEngine {
-    /// Every engine, in report order.
-    pub const ALL: [PlanEngine; 4] = [
-        PlanEngine::Twig2Stack,
-        PlanEngine::TwigStack,
-        PlanEngine::PathStack,
-        PlanEngine::TJFast,
-    ];
-
-    /// Stable snake_case name (used in reports and counter names).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanEngine::Twig2Stack => "twig2stack",
-            PlanEngine::TwigStack => "twigstack",
-            PlanEngine::PathStack => "pathstack",
-            PlanEngine::TJFast => "tjfast",
-        }
-    }
-}
-
-/// True iff `gtp` is a *full twig*: every node is returned, no edge is
-/// optional, and there are no OR-groups or value predicates — the
-/// fragment the decomposition baselines (TwigStack, TJFast) implement.
-pub fn is_full_twig(gtp: &Gtp) -> bool {
-    gtp.iter()
-        .all(|q| gtp.role(q) == Role::Return && gtp.edge(q).is_none_or(|e| !e.optional))
-        && !gtp.has_or_groups()
-        && !gtp.has_value_preds()
-}
-
-/// True iff `gtp` is a single root-to-leaf chain (PathStack's fragment,
-/// together with [`is_full_twig`]).
-pub fn is_linear(gtp: &Gtp) -> bool {
-    gtp.iter().all(|q| gtp.children(q).len() <= 1)
-}
 
 /// Per-query cost estimates derived from the path summary. All element
 /// counts are exact *summary* aggregations of over-approximate feasible
@@ -97,10 +42,6 @@ pub struct QueryEstimate {
     /// scaling filterless labels by the root-cover fraction (the
     /// skip-scan savings estimate).
     pub scan_pruned: u64,
-    /// Elements the **leaf** query nodes' feasible sets cover — the only
-    /// streams TJFast reads (its records are fatter; see
-    /// [`QueryEstimate::tjfast_cost`]).
-    pub leaf_scan: u64,
     /// Fraction (0..=1, in 1/1024 units to stay integer) of the document
     /// region span covered by candidate-root hulls; `skip_to` gallops
     /// past the rest.
@@ -130,7 +71,6 @@ impl QueryEstimate {
                 unsatisfiable: true,
                 scan_full: 0,
                 scan_pruned: 0,
-                leaf_scan: 0,
                 cover_permille: 0,
                 expected_results: 0,
                 labels_scanned: 0,
@@ -207,13 +147,6 @@ impl QueryEstimate {
             }
         }
 
-        // Leaf streams (TJFast reads nothing else).
-        let leaf_scan = gtp
-            .iter()
-            .filter(|&q| gtp.is_leaf(q))
-            .map(|q| feas.feasible(q).element_count(summary))
-            .sum();
-
         // The most selective returned node bounds the distinct elements
         // any output column can hold.
         let expected_results = gtp
@@ -227,7 +160,6 @@ impl QueryEstimate {
             unsatisfiable: false,
             scan_full,
             scan_pruned,
-            leaf_scan,
             cover_permille,
             expected_results,
             labels_scanned,
@@ -249,65 +181,6 @@ impl QueryEstimate {
     pub fn pruning_pays(&self) -> bool {
         self.unsatisfiable || self.pruning_savings() * 8 >= self.scan_full
     }
-
-    /// TJFast's comparable scan cost: leaf elements only, but each record
-    /// carries its full extended Dewey path, and every delivered element
-    /// pays a transducer decode plus resolver lookups per ancestor. Fig A
-    /// measured the per-element ratio against a region-stream scan at
-    /// ~19× on TreeBank-Q1; weight 16× so the leaf-only scan must be an
-    /// order of magnitude smaller before TJFast looks competitive.
-    pub fn tjfast_cost(&self) -> u64 {
-        self.leaf_scan.saturating_mul(16)
-    }
-
-    /// The region-engine scan cost under the recommended policy.
-    pub fn region_cost(&self) -> u64 {
-        if self.pruning_pays() {
-            self.scan_pruned
-        } else {
-            self.scan_full
-        }
-    }
-
-    /// Apply the DESIGN.md §14 decision table to this estimate.
-    pub fn recommend(&self, gtp: &Gtp) -> Recommendation {
-        let pruning = self.pruning_pays();
-        let full_twig = is_full_twig(gtp);
-        // Twig²Stack is the default: it matches every GTP, never
-        // enumerates unmerged path solutions, and wins or ties on every
-        // figure-16 query (Fig 16 / Table 1). A decomposition baseline is
-        // chosen only inside its fragment *and* with a decisive predicted
-        // advantage, so estimate noise cannot select a slower engine.
-        let mut engine = PlanEngine::Twig2Stack;
-        if full_twig {
-            // TJFast reads only leaf streams: when internal streams
-            // dominate the scan (deep chains over selective leaves), the
-            // leaf-only scan wins despite its ~16× per-record cost.
-            if self.tjfast_cost() * 2 < self.region_cost() {
-                engine = PlanEngine::TJFast;
-            }
-        }
-        // Early enumeration trades the result encoding's memory for
-        // document-order streaming output; it pays only when the encoded
-        // result set dwarfs the document scan (bounded-memory serving),
-        // not on wall-clock — see DESIGN.md §14.
-        let early = engine == PlanEngine::Twig2Stack
-            && self.expected_results > (1 << 20)
-            && self.expected_results > self.scan_full;
-        Recommendation { engine, pruning, early }
-    }
-}
-
-/// The planner's chosen knobs for one query (see DESIGN.md §14 for the
-/// decision table that produces it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Recommendation {
-    /// Engine to evaluate with.
-    pub engine: PlanEngine,
-    /// Whether summary pruning pays for this query.
-    pub pruning: bool,
-    /// Whether to enumerate early (bounded-memory streaming output).
-    pub early: bool,
 }
 
 #[cfg(test)]
@@ -363,27 +236,5 @@ mod tests {
         // Every node is returned (brackets don't demote roles in this
         // parser); the most selective is a or c at 1 element each.
         assert_eq!(est.expected_results, 1);
-    }
-
-    #[test]
-    fn shape_gates_match_the_fuzzer_definitions() {
-        let full = parse_twig("//a[b]/c").unwrap();
-        assert!(is_full_twig(&full));
-        assert!(!is_linear(&full), "a has two children");
-        let linear = parse_twig("//a/b/c").unwrap();
-        assert!(is_full_twig(&linear));
-        assert!(is_linear(&linear));
-        let gtp_ext = parse_twig("//a/b!/c").unwrap();
-        assert!(!is_full_twig(&gtp_ext));
-    }
-
-    #[test]
-    fn recommendation_defaults_to_twig2stack() {
-        let (doc, summary) = setup("<a><b><c/></b></a>");
-        let gtp = parse_twig("//a/b[c]").unwrap();
-        let est = QueryEstimate::compute(&gtp, summary.view(), doc.labels());
-        let rec = est.recommend(&gtp);
-        assert_eq!(rec.engine, PlanEngine::Twig2Stack);
-        assert!(!rec.early, "tiny results never trigger early enumeration");
     }
 }

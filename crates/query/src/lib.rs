@@ -14,7 +14,7 @@
 //!   feasibility (the pruned-stream planner);
 //! * [`cost`] — the adaptive planner's cost model: stream-size,
 //!   skip-scan, and selectivity estimates from the path summary, plus
-//!   the engine/policy decision table (DESIGN.md §14);
+//!   the pruning on/off rule (DESIGN.md §14);
 //! * [`exec`] — typed evaluation errors and cooperative cancellation for
 //!   the fallible drivers (disk streams, serving deadlines).
 #![forbid(unsafe_code)]
@@ -32,7 +32,7 @@ pub mod xquery;
 pub use analysis::{
     LabelDispatch, ParallelFallback, QueryAnalysis, SummaryFeasibility, ValidationIssue,
 };
-pub use cost::{is_full_twig, is_linear, PlanEngine, QueryEstimate, Recommendation};
+pub use cost::QueryEstimate;
 pub use exec::{CancelToken, QueryError};
 pub use gtp::{Axis, Edge, Gtp, GtpBuilder, NodeTest, QNodeId, Role, ValuePred};
 pub use parse::{parse_twig, QueryParseError};

@@ -54,7 +54,14 @@ impl fmt::Display for QueryParseError {
 
 impl std::error::Error for QueryParseError {}
 
-/// Parse `input` into a [`Gtp`].
+/// Deepest query accepted: steps on one root-to-leaf path of the GTP,
+/// counting the steps inside (nested) predicates. Bounds the parser's
+/// recursion and every later walk of the query tree, so adversarial
+/// query text gets a [`QueryParseError`] instead of a stack overflow.
+const MAX_QUERY_DEPTH: usize = 256;
+
+/// Parse `input` into a [`Gtp`]. Queries more than 256 steps deep
+/// (counting steps inside nested predicates) are rejected.
 pub fn parse_twig(input: &str) -> Result<Gtp, QueryParseError> {
     Parser { input: input.as_bytes(), pos: 0 }.parse()
 }
@@ -62,6 +69,18 @@ pub fn parse_twig(input: &str) -> Result<Gtp, QueryParseError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+}
+
+/// A predicate opened on `owner` (at `depth`) and not yet closed.
+struct OpenPred {
+    owner: QNodeId,
+    depth: usize,
+    /// First node of each alternative parsed so far; more than one form
+    /// an OR-group when the predicate closes.
+    heads: Vec<QNodeId>,
+    /// Node count before the predicate opened: every node from here on
+    /// was added inside it.
+    nodes_before: usize,
 }
 
 #[derive(Clone, Copy)]
@@ -111,35 +130,57 @@ impl<'a> Parser<'a> {
         if let Some(role) = marker {
             builder.role(root, role);
         }
-        self.parse_preds(&mut builder, root)?;
-        self.parse_tail(&mut builder, root, 0)?;
-        self.skip_ws();
+        // Steps and predicates nest as deep as the text does; the open
+        // predicates live on a heap stack so the parser's own stack stays
+        // flat. `node` is the step the next `[` or `/` attaches to.
+        let mut open: Vec<OpenPred> = Vec::new();
+        let (mut node, mut depth) = (root, 1);
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'[') => {
+                    self.pos += 1;
+                    let nodes_before = builder.node_count();
+                    let head = self.parse_alternative_head(&mut builder, node, depth + 1)?;
+                    open.push(OpenPred { owner: node, depth, heads: vec![head], nodes_before });
+                    (node, depth) = (head, depth + 1);
+                }
+                Some(b'/') => {
+                    let edge = self.parse_edge()?;
+                    depth += 1;
+                    node = self.parse_step(&mut builder, node, edge, depth)?;
+                }
+                _ => {
+                    let Some(pred) = open.last_mut() else { break };
+                    // Alternatives separated by the `or` keyword form an
+                    // OR-group.
+                    if self.eat_keyword(b"or") {
+                        depth = pred.depth + 1;
+                        node = self.parse_alternative_head(&mut builder, pred.owner, depth)?;
+                        pred.heads.push(node);
+                        continue;
+                    }
+                    if !self.eat(b']') {
+                        return Err(self.err("expected ']' to close predicate"));
+                    }
+                    let pred = open.pop().expect("an open predicate");
+                    if pred.heads.len() > 1 {
+                        builder.same_or_group(&pred.heads);
+                        // Disjunctive branches are existence checks: force
+                        // every node added inside this predicate to
+                        // non-return.
+                        for i in pred.nodes_before..builder.node_count() {
+                            builder.role(QNodeId::from_index_for_parser(i), Role::NonReturn);
+                        }
+                    }
+                    (node, depth) = (pred.owner, pred.depth);
+                }
+            }
+        }
         if self.pos != self.input.len() {
             return Err(self.err("trailing characters after query"));
         }
         Ok(builder.build())
-    }
-
-    /// Parse `( edge step )*` continuing from `node`.
-    fn parse_tail(
-        &mut self,
-        builder: &mut GtpBuilder,
-        mut node: QNodeId,
-        depth: usize,
-    ) -> Result<(), QueryParseError> {
-        if depth > 256 {
-            return Err(self.err("query nesting too deep"));
-        }
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    let edge = self.parse_edge()?;
-                    node = self.parse_step(builder, node, edge, depth)?;
-                }
-                _ => return Ok(()),
-            }
-        }
     }
 
     fn parse_edge(&mut self) -> Result<ParsedEdge, QueryParseError> {
@@ -151,7 +192,8 @@ impl<'a> Parser<'a> {
         Ok(ParsedEdge { axis, optional })
     }
 
-    /// Parse one step (name, marker, predicates) attached below `parent`.
+    /// Parse one step (name, value predicate, marker) attached below
+    /// `parent`; the new node sits at `depth`.
     fn parse_step(
         &mut self,
         builder: &mut GtpBuilder,
@@ -159,6 +201,9 @@ impl<'a> Parser<'a> {
         edge: ParsedEdge,
         depth: usize,
     ) -> Result<QNodeId, QueryParseError> {
+        if depth > MAX_QUERY_DEPTH {
+            return Err(self.err("query nesting too deep"));
+        }
         let (name, marker) = self.parse_name_marker()?;
         let pred = self.parse_value_pred()?;
         let role = marker.or(if pred.is_some() { self.reparse_marker() } else { None })
@@ -167,8 +212,6 @@ impl<'a> Parser<'a> {
         if let Some(p) = pred {
             builder.value_pred(node, p);
         }
-        self.parse_preds(builder, node)?;
-        let _ = depth;
         Ok(node)
     }
 
@@ -213,48 +256,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_preds(
+    /// The first step of one predicate alternative: `predhead step`,
+    /// attached below `owner` at `depth`.
+    fn parse_alternative_head(
         &mut self,
         builder: &mut GtpBuilder,
-        node: QNodeId,
-    ) -> Result<(), QueryParseError> {
-        loop {
-            self.skip_ws();
-            if !self.eat(b'[') {
-                return Ok(());
-            }
-            // Alternatives separated by the `or` keyword form an OR-group.
-            let mut alternative_heads = Vec::new();
-            let nodes_before = builder.node_count();
-            loop {
-                let head = self.parse_pred_alternative(builder, node)?;
-                alternative_heads.push(head);
-                self.skip_ws();
-                if !self.eat_keyword(b"or") {
-                    break;
-                }
-            }
-            self.skip_ws();
-            if !self.eat(b']') {
-                return Err(self.err("expected ']' to close predicate"));
-            }
-            if alternative_heads.len() > 1 {
-                builder.same_or_group(&alternative_heads);
-                // Disjunctive branches are existence checks: force every
-                // node added inside this predicate to non-return.
-                for i in nodes_before..builder.node_count() {
-                    builder.role(QNodeId::from_index_for_parser(i), Role::NonReturn);
-                }
-            }
-        }
-    }
-
-    /// One predicate alternative: `predhead step (edge step)*`. Returns
-    /// the alternative's first (top) node.
-    fn parse_pred_alternative(
-        &mut self,
-        builder: &mut GtpBuilder,
-        node: QNodeId,
+        owner: QNodeId,
+        depth: usize,
     ) -> Result<QNodeId, QueryParseError> {
         self.skip_ws();
         let mut optional = self.eat(b'?');
@@ -272,10 +280,7 @@ impl<'a> Parser<'a> {
             axis = e.axis;
             optional |= e.optional;
         }
-        let edge = ParsedEdge { axis, optional };
-        let first = self.parse_step(builder, node, edge, 0)?;
-        self.parse_tail(builder, first, 0)?;
-        Ok(first)
+        self.parse_step(builder, owner, ParsedEdge { axis, optional }, depth)
     }
 
     /// Consume the given keyword if it appears here followed by a
@@ -454,6 +459,32 @@ mod tests {
         assert!(parse_twig("//a]b").is_err());
         assert!(parse_twig("//a[.b]").is_err());
         assert!(parse_twig("//").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_a_typed_error() {
+        // On a 256 KiB stack: deep query text must be rejected without
+        // recursing anywhere near that deep.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let nested = format!("//a{}{}", "[a".repeat(30_000), "]".repeat(30_000));
+                let chain = "/a".repeat(100_000);
+                for q in [nested, chain] {
+                    let err = parse_twig(&q).unwrap_err();
+                    assert_eq!(err.message, "query nesting too deep");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        // The bound itself is accepted, on the spine and in predicates.
+        let spine = "/a".repeat(MAX_QUERY_DEPTH);
+        assert_eq!(parse_twig(&spine).unwrap().len(), MAX_QUERY_DEPTH);
+        assert!(parse_twig(&format!("{spine}/a")).is_err());
+        let preds = |n: usize| format!("/a{}{}", "[a".repeat(n), "]".repeat(n));
+        assert_eq!(parse_twig(&preds(MAX_QUERY_DEPTH - 1)).unwrap().len(), MAX_QUERY_DEPTH);
+        assert!(parse_twig(&preds(MAX_QUERY_DEPTH)).is_err());
     }
 
     #[test]

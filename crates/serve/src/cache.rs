@@ -49,8 +49,8 @@ pub struct CachedPlan {
     ///
     /// [`PruningPolicy`]: xmlindex::PruningPolicy
     pub plan: IndexedPlan,
-    /// The planner's verdict: engine, pruning policy, enumeration
-    /// strategy, and (in adaptive mode) the predictions behind them.
+    /// The planner's verdict: the pruning policy and (in adaptive mode)
+    /// the predictions behind it.
     pub decision: PlanDecision,
     /// Mispredicted executions observed on this plan (adaptive only).
     mispredictions: AtomicU32,

@@ -37,7 +37,7 @@
 //!    sibling — the planner runs once per schema, not once per document.
 //!    (Feasibility depends only on summary structure and label names, so
 //!    the *satisfiability* verdict transfers exactly; per-sid counts and
-//!    hulls vary within a schema, so the engine/policy choice is a
+//!    hulls vary within a schema, so the pruning choice is a
 //!    shape-representative approximation — a performance knob, never a
 //!    correctness one.) [`CatalogService::execute_batch`] additionally
 //!    extends the PR 5 same-label-set shared scans across the batch: on
@@ -58,13 +58,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use twig2stack::{
     enumerate, try_match_indexed, try_match_indexed_group, IndexedPlan, MatchOptions,
 };
 use xmldom::{Document, Label};
-use xmlindex::{ElementIndex, IndexView, MappedIndex, MappedOpenError, PruningPolicy};
+use xmlindex::{ElementIndex, IndexView, MappedIndex, MappedOpenError};
 
 /// A 256-bit Bloom filter over label *names*, k = 4 probes by double
 /// hashing from one FNV-1a pass. Sized for real-world XML vocabularies
@@ -320,7 +320,6 @@ impl CatalogService {
                 doc,
                 index,
                 version: 0,
-                dewey: OnceLock::new(),
             });
             shards[i % shard_count].push(DocEntry {
                 id: i as u32,
@@ -524,13 +523,7 @@ impl CatalogService {
             let labels = snap.doc.labels();
             // The full per-document pipeline, every time: plan decision,
             // feasibility analysis, stream scan.
-            let decision = planner::decide(
-                &gtp,
-                snap.index(),
-                labels,
-                PlannerMode::Adaptive,
-                PruningPolicy::Enabled,
-            );
+            let decision = planner::decide(&gtp, snap.index(), labels, PlannerMode::Adaptive);
             let plan = IndexedPlan::compute(&gtp, snap.index(), labels, decision.policy);
             let rows = eval_entry(snap, &gtp, &plan)?;
             if !rows.is_empty() {
@@ -655,13 +648,8 @@ impl CatalogInner {
             return (*s, None);
         }
         let snap = &entry.snap;
-        let decision = planner::decide(
-            &plan.gtp,
-            snap.index(),
-            snap.doc.labels(),
-            PlannerMode::Adaptive,
-            PruningPolicy::Enabled,
-        );
+        let decision =
+            planner::decide(&plan.gtp, snap.index(), snap.doc.labels(), PlannerMode::Adaptive);
         let probe =
             IndexedPlan::compute(&plan.gtp, snap.index(), snap.doc.labels(), decision.policy);
         let verdict = SchemaPlan {

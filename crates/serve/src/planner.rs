@@ -1,24 +1,20 @@
-//! The cost-based planner: engine + pruning + enumeration selection.
+//! The cost-based planner: the per-query pruning decision.
 //!
-//! `twigserve` can execute every engine in the workspace — Twig²Stack
-//! (full or early enumeration), TwigStack, PathStack, and TJFast — each
-//! with pruning on or off. No single configuration wins everywhere
-//! (EXPERIMENTS.md Fig S: pruning helps 7/9 figure-16 queries but *hurts*
-//! XMark-Q2), so the service decides per query, once per canonical form,
-//! and stores the [`PlanDecision`] in the cached plan.
+//! `twigserve` evaluates every query with the paper's bottom-up
+//! Twig²Stack engine, which accepts every GTP. The one per-query choice
+//! left is [`PruningPolicy`]: path-summary pruning helps 7/9 figure-16
+//! queries but *hurts* XMark-Q2 (EXPERIMENTS.md Fig S), so the service
+//! decides per query, once per canonical form, and stores the
+//! [`PlanDecision`] in the cached plan.
 //!
 //! Two modes ([`PlannerMode`]):
 //!
-//! * **`Forced(engine)`** — the escape hatch and the default: always use
-//!   `engine` with the config's [`PruningPolicy`] and full enumeration,
-//!   exactly the pre-planner behaviour (every pinned test keeps its
-//!   engine). An engine forced outside its applicability gate (a
-//!   decomposition baseline on a GTP-extension query, PathStack on a
-//!   branchy twig) falls back to Twig²Stack, which handles everything.
-//! * **`Adaptive`** — estimate stream sizes, skip-scan savings, and
-//!   output selectivities from the path summary
-//!   ([`gtpquery::cost::QueryEstimate`]) and apply the DESIGN.md §14
-//!   decision table.
+//! * **`Fixed(policy)`** — the default is `Fixed(Enabled)`: always use
+//!   `policy`, exactly the pre-planner behaviour (every pinned test keeps
+//!   its configuration). `Fixed(Disabled)` is the unpruned A/B arm.
+//! * **`Adaptive`** — estimate stream sizes and skip-scan savings from
+//!   the path summary ([`gtpquery::cost::QueryEstimate`]) and keep
+//!   pruning only when [`QueryEstimate::pruning_pays`] (DESIGN.md §14).
 //!
 //! Adaptive decisions carry their *predictions* (elements to scan,
 //! expected results). The service records them next to the actual
@@ -28,43 +24,35 @@
 //! ([`scan_within_tolerance`]) — a wrong cost model is a counter you can
 //! alert on, not a silent slowdown.
 
-use gtpquery::cost::{is_full_twig, is_linear, PlanEngine, QueryEstimate};
+use gtpquery::cost::QueryEstimate;
 use gtpquery::Gtp;
 use xmldom::LabelTable;
 use xmlindex::{IndexView, PruningPolicy};
 
 /// How the service plans queries. The default is
-/// `Forced(PlanEngine::Twig2Stack)` — the exact pre-planner behaviour.
+/// `Fixed(PruningPolicy::Enabled)` — the exact pre-planner behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
-    /// Cost-based per-query decisions from the path summary (DESIGN.md
-    /// §14 decision table).
+    /// Cost-based per-query pruning decisions from the path summary
+    /// (DESIGN.md §14).
     Adaptive,
-    /// Always use this engine, with the config's [`PruningPolicy`] and
-    /// full enumeration. Falls back to Twig²Stack when the query is
-    /// outside the engine's fragment (see [`applicable`]).
-    Forced(PlanEngine),
+    /// Always plan with this pruning policy.
+    Fixed(PruningPolicy),
 }
 
 impl Default for PlannerMode {
     fn default() -> Self {
-        PlannerMode::Forced(PlanEngine::Twig2Stack)
+        PlannerMode::Fixed(PruningPolicy::Enabled)
     }
 }
 
-/// The planner's verdict for one cached plan: which engine runs it, with
-/// which pruning policy and enumeration strategy, plus the predictions
-/// the verdict was derived from (zero in forced mode).
+/// The planner's verdict for one cached plan: the pruning policy its
+/// streams are built with, plus the predictions the verdict was derived
+/// from (zero in fixed mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanDecision {
-    /// Engine that evaluates this plan.
-    pub engine: PlanEngine,
     /// Pruning policy the plan's streams were built with.
     pub policy: PruningPolicy,
-    /// Early (streaming, bounded-memory) enumeration instead of the
-    /// full match-then-enumerate pipeline (Twig²Stack only; falls back
-    /// to full enumeration when the query shape does not support it).
-    pub early: bool,
     /// True iff this decision came from the cost model (predictions are
     /// recorded and checked only for adaptive decisions).
     pub adaptive: bool,
@@ -78,9 +66,7 @@ pub struct PlanDecision {
 impl Default for PlanDecision {
     fn default() -> Self {
         PlanDecision {
-            engine: PlanEngine::Twig2Stack,
             policy: PruningPolicy::Enabled,
-            early: false,
             adaptive: false,
             predicted_scan: 0,
             predicted_results: 0,
@@ -88,14 +74,19 @@ impl Default for PlanDecision {
     }
 }
 
-/// True iff `engine` can evaluate `gtp` at all. Twig²Stack handles every
-/// GTP; the decomposition baselines handle full twigs only, and PathStack
-/// additionally requires a single chain.
-pub fn applicable(engine: PlanEngine, gtp: &Gtp) -> bool {
-    match engine {
-        PlanEngine::Twig2Stack => true,
-        PlanEngine::TwigStack | PlanEngine::TJFast => is_full_twig(gtp),
-        PlanEngine::PathStack => is_full_twig(gtp) && is_linear(gtp),
+/// The adaptive verdict for `est`: pruning iff it pays, with the scan
+/// predicted for that policy.
+fn adaptive_decision(est: &QueryEstimate) -> PlanDecision {
+    let (policy, predicted_scan) = if est.pruning_pays() {
+        (PruningPolicy::Enabled, est.scan_pruned)
+    } else {
+        (PruningPolicy::Disabled, est.scan_full)
+    };
+    PlanDecision {
+        policy,
+        adaptive: true,
+        predicted_scan,
+        predicted_results: est.expected_results,
     }
 }
 
@@ -106,77 +97,27 @@ pub fn decide<I: IndexView>(
     index: &I,
     labels: &LabelTable,
     mode: PlannerMode,
-    config_policy: PruningPolicy,
 ) -> PlanDecision {
-    let decision = match mode {
-        PlannerMode::Forced(engine) => {
-            let engine = if applicable(engine, gtp) {
-                engine
-            } else {
-                PlanEngine::Twig2Stack
-            };
-            PlanDecision { engine, policy: config_policy, ..PlanDecision::default() }
-        }
+    match mode {
+        PlannerMode::Fixed(policy) => PlanDecision { policy, ..PlanDecision::default() },
         PlannerMode::Adaptive => {
-            let est = QueryEstimate::compute(gtp, index.summary(), labels);
-            let rec = est.recommend(gtp);
-            let engine = if applicable(rec.engine, gtp) {
-                rec.engine
-            } else {
-                PlanEngine::Twig2Stack
-            };
-            let policy = if rec.pruning {
-                PruningPolicy::Enabled
-            } else {
-                PruningPolicy::Disabled
-            };
-            let predicted_scan = match engine {
-                PlanEngine::TJFast => est.leaf_scan,
-                _ if policy.is_enabled() => est.scan_pruned,
-                _ => est.scan_full,
-            };
-            PlanDecision {
-                engine,
-                policy,
-                early: rec.early,
-                adaptive: true,
-                predicted_scan,
-                predicted_results: est.expected_results,
-            }
+            adaptive_decision(&QueryEstimate::compute(gtp, index.summary(), labels))
         }
-    };
-    twigobs::bump(match decision.engine {
-        PlanEngine::Twig2Stack => twigobs::Counter::PlanChoicesTwig2Stack,
-        PlanEngine::TwigStack => twigobs::Counter::PlanChoicesTwigStack,
-        PlanEngine::PathStack => twigobs::Counter::PlanChoicesPathStack,
-        PlanEngine::TJFast => twigobs::Counter::PlanChoicesTJFast,
-    });
-    decision
+    }
 }
 
 /// Re-plan after repeated mispredictions, blending the **measured** scan
-/// into the estimate (the planner feedback loop, ROADMAP item 4a).
+/// into the estimate (the planner feedback loop, DESIGN.md §14).
 ///
-/// The summary estimate is recomputed, but the cost the decision table
-/// held for `prior`'s engine is replaced with `measured_scan` — the
-/// number the alarms said the model got wrong:
-///
-/// * **engine** — if the prior engine was TJFast, the measured leaf scan
-///   (weighted by its ~16× per-record cost) is compared against the
-///   *estimated* region cost, so a leaf stream the model undershot (e.g.
-///   infeasible leaves an unpruned stream still delivers) sends the query
-///   back to the region engine; if the prior engine was a region engine,
-///   the measured region scan is what TJFast's estimate must now beat;
-/// * **pruning** — when the prior plan ran pruned region streams, the
-///   measurement *is* the pruned scan: pruning keeps paying only if it
-///   still leaves ≥ 1/8 of the full scan in savings. Other engine/policy
-///   combinations say nothing new about the filters, so the static
-///   estimate stands;
-/// * **predictions** — recentered on the measurement when the chosen
-///   engine and policy are the ones that produced it (the model was
-///   wrong, the measurement is ground truth), or on the static estimate
-///   for the new configuration when the decision changed — either way a
-///   well-behaved replacement plan stops alarming.
+/// The summary estimate is recomputed. When the prior plan ran pruned
+/// streams, the measurement *is* the pruned scan, so it replaces the
+/// estimated one and pruning keeps paying only if it still saves ≥ 1/8
+/// of the full scan. An unpruned measurement says nothing new about the
+/// filters, so the static estimate stands. The prediction is recentered
+/// on the measurement when the policy is unchanged (the model was wrong,
+/// the measurement is ground truth), or on the static estimate for the
+/// other policy — either way a well-behaved replacement plan stops
+/// alarming.
 pub fn replan<I: IndexView>(
     gtp: &Gtp,
     index: &I,
@@ -184,49 +125,14 @@ pub fn replan<I: IndexView>(
     prior: &PlanDecision,
     measured_scan: u64,
 ) -> PlanDecision {
-    let est = QueryEstimate::compute(gtp, index.summary(), labels);
-    let (tjfast_cost, region_cost) = if prior.engine == PlanEngine::TJFast {
-        (measured_scan.saturating_mul(16), est.region_cost())
-    } else {
-        (est.tjfast_cost(), measured_scan)
-    };
-    let mut engine = PlanEngine::Twig2Stack;
-    if is_full_twig(gtp) && tjfast_cost.saturating_mul(2) < region_cost {
-        engine = PlanEngine::TJFast;
+    let mut est = QueryEstimate::compute(gtp, index.summary(), labels);
+    if prior.policy.is_enabled() {
+        est.scan_pruned = measured_scan;
     }
-    let pruning_pays = if est.unsatisfiable {
-        true
-    } else if prior.engine != PlanEngine::TJFast && prior.policy.is_enabled() {
-        est.scan_full.saturating_sub(measured_scan) * 8 >= est.scan_full
-    } else {
-        est.pruning_pays()
-    };
-    let policy = if pruning_pays { PruningPolicy::Enabled } else { PruningPolicy::Disabled };
-    let predicted_scan = if (engine, policy) == (prior.engine, prior.policy) {
-        measured_scan
-    } else {
-        match engine {
-            PlanEngine::TJFast => est.leaf_scan,
-            _ if policy.is_enabled() => est.scan_pruned,
-            _ => est.scan_full,
-        }
-    };
-    let decision = PlanDecision {
-        engine,
-        policy,
-        early: engine == PlanEngine::Twig2Stack
-            && est.expected_results > (1 << 20)
-            && est.expected_results > est.scan_full.max(measured_scan),
-        adaptive: true,
-        predicted_scan,
-        predicted_results: est.expected_results,
-    };
-    twigobs::bump(match decision.engine {
-        PlanEngine::Twig2Stack => twigobs::Counter::PlanChoicesTwig2Stack,
-        PlanEngine::TwigStack => twigobs::Counter::PlanChoicesTwigStack,
-        PlanEngine::PathStack => twigobs::Counter::PlanChoicesPathStack,
-        PlanEngine::TJFast => twigobs::Counter::PlanChoicesTJFast,
-    });
+    let mut decision = adaptive_decision(&est);
+    if decision.policy == prior.policy {
+        decision.predicted_scan = measured_scan;
+    }
     decision
 }
 
@@ -234,7 +140,7 @@ pub fn replan<I: IndexView>(
 /// stream scan lands outside a factor-4 band (plus a small absolute slack
 /// for tiny queries) around the prediction counts as a misprediction.
 /// Factor 4 separates "estimate noise" (feasible sets over-approximate,
-/// uniform-density cover scaling) from "the model is wrong" (an engine
+/// uniform-density cover scaling) from "the model is wrong" (a policy
 /// picked on a cardinality that was off by orders of magnitude).
 pub fn scan_within_tolerance(predicted: u64, actual: u64) -> bool {
     actual <= predicted.saturating_mul(4).saturating_add(16)
@@ -254,62 +160,45 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_forced_twig2stack() {
-        assert_eq!(PlannerMode::default(), PlannerMode::Forced(PlanEngine::Twig2Stack));
+    fn default_mode_is_fixed_pruning() {
+        assert_eq!(PlannerMode::default(), PlannerMode::Fixed(PruningPolicy::Enabled));
     }
 
     #[test]
-    fn forced_mode_keeps_the_config_policy_and_engine() {
+    fn fixed_mode_keeps_its_policy_and_predicts_nothing() {
         let (doc, index) = fixture();
         let gtp = parse_twig("//a/b[c]").unwrap();
-        let d = decide(
-            &gtp,
-            &index,
-            doc.labels(),
-            PlannerMode::Forced(PlanEngine::TwigStack),
-            PruningPolicy::Disabled,
-        );
-        assert_eq!(d.engine, PlanEngine::TwigStack);
-        assert_eq!(d.policy, PruningPolicy::Disabled);
-        assert!(!d.adaptive);
-        assert_eq!(d.predicted_scan, 0, "forced mode predicts nothing");
-    }
-
-    #[test]
-    fn forcing_an_inapplicable_engine_falls_back_to_twig2stack() {
-        let (doc, index) = fixture();
-        // `b!` is non-return: outside every decomposition baseline.
-        let gtp = parse_twig("//a/b!/c").unwrap();
-        for engine in [PlanEngine::TwigStack, PlanEngine::PathStack, PlanEngine::TJFast] {
-            let d = decide(
-                &gtp,
-                &index,
-                doc.labels(),
-                PlannerMode::Forced(engine),
-                PruningPolicy::Enabled,
-            );
-            assert_eq!(d.engine, PlanEngine::Twig2Stack, "{engine:?}");
+        for policy in [PruningPolicy::Enabled, PruningPolicy::Disabled] {
+            let d = decide(&gtp, &index, doc.labels(), PlannerMode::Fixed(policy));
+            assert_eq!(d.policy, policy);
+            assert!(!d.adaptive);
+            assert_eq!(d.predicted_scan, 0, "fixed mode predicts nothing");
         }
-        // A branchy (non-linear) full twig is out of PathStack's fragment.
-        let branchy = parse_twig("//a[b]/d").unwrap();
-        let d = decide(
-            &branchy,
-            &index,
-            doc.labels(),
-            PlannerMode::Forced(PlanEngine::PathStack),
-            PruningPolicy::Enabled,
-        );
-        assert_eq!(d.engine, PlanEngine::Twig2Stack);
     }
 
     #[test]
     fn adaptive_mode_records_predictions() {
         let (doc, index) = fixture();
         let gtp = parse_twig("/a/b/c").unwrap();
-        let d = decide(&gtp, &index, doc.labels(), PlannerMode::Adaptive, PruningPolicy::Enabled);
+        let d = decide(&gtp, &index, doc.labels(), PlannerMode::Adaptive);
         assert!(d.adaptive);
         assert!(d.predicted_scan > 0);
-        assert!(!d.early, "tiny results never trigger early enumeration");
+    }
+
+    #[test]
+    fn replan_drops_pruning_that_measured_no_savings() {
+        let (doc, index) = fixture();
+        let gtp = parse_twig("/a/b/c").unwrap();
+        let prior = decide(&gtp, &index, doc.labels(), PlannerMode::Adaptive);
+        assert!(prior.policy.is_enabled(), "the d/b/c path is prunable");
+        let full = QueryEstimate::compute(&gtp, index.summary(), doc.labels()).scan_full;
+        // The pruned run delivered the whole scan: pruning saved nothing.
+        let d = replan(&gtp, &index, doc.labels(), &prior, full);
+        assert_eq!(d.policy, PruningPolicy::Disabled);
+        assert_eq!(d.predicted_scan, full);
+        // A pruned run that saved as predicted keeps the decision.
+        let d = replan(&gtp, &index, doc.labels(), &prior, prior.predicted_scan);
+        assert_eq!(d, prior);
     }
 
     #[test]

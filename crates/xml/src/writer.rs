@@ -16,49 +16,63 @@ pub enum Indent {
 ///
 /// Round-trips with [`crate::parser::parse`] for documents whose text
 /// contains no leading/trailing whitespace runs (the parser drops
-/// whitespace-only text).
+/// whitespace-only text). Iterative: documents of any depth the parser
+/// accepts serialize without touching the call stack.
 pub fn write(doc: &Document, indent: Indent) -> String {
     let mut out = String::with_capacity(doc.len() * 16);
-    write_node(doc, doc.root(), indent, 0, &mut out);
+    // Elements whose end tag is still due, innermost last.
+    let mut open: Vec<NodeId> = Vec::new();
+    let mut next = Some(doc.root());
+    while let Some(node) = next {
+        let depth = open.len();
+        if depth > 0 {
+            line_break(indent, depth, &mut out);
+        }
+        let name = doc.tag_name(node);
+        out.push('<');
+        out.push_str(name);
+        for (k, v) in doc.attributes(node) {
+            let _ = write!(out, " {}=\"{}\"", k, escape_attr(v));
+        }
+        let text = doc.text(node);
+        let first_child = doc.first_child(node);
+        if text.is_none() && first_child.is_none() {
+            out.push_str("/>");
+        } else {
+            out.push('>');
+            if let Some(t) = text {
+                out.push_str(&escape_text(t));
+            }
+            if first_child.is_some() {
+                open.push(node);
+                next = first_child;
+                continue;
+            }
+            end_tag(name, &mut out);
+        }
+        // `node` is complete: move to its next sibling, closing every
+        // ancestor that has none left.
+        next = doc.next_sibling(node);
+        while next.is_none() {
+            let Some(parent) = open.pop() else { break };
+            line_break(indent, open.len(), &mut out);
+            end_tag(doc.tag_name(parent), &mut out);
+            next = doc.next_sibling(parent);
+        }
+    }
     out
 }
 
-fn write_node(doc: &Document, node: NodeId, indent: Indent, depth: usize, out: &mut String) {
+/// Start a new line indented by `depth` levels (nothing under
+/// [`Indent::None`]).
+fn line_break(indent: Indent, depth: usize, out: &mut String) {
     if let Indent::Spaces(n) = indent {
-        if depth > 0 {
-            out.push('\n');
-        }
-        for _ in 0..depth * n {
-            out.push(' ');
-        }
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', depth * n));
     }
-    let name = doc.tag_name(node);
-    out.push('<');
-    out.push_str(name);
-    for (k, v) in doc.attributes(node) {
-        let _ = write!(out, " {}=\"{}\"", k, escape_attr(v));
-    }
-    let text = doc.text(node);
-    let has_children = doc.first_child(node).is_some();
-    if text.is_none() && !has_children {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    if let Some(t) = text {
-        out.push_str(&escape_text(t));
-    }
-    for child in doc.children(node) {
-        write_node(doc, child, indent, depth + 1, out);
-    }
-    if has_children {
-        if let Indent::Spaces(n) = indent {
-            out.push('\n');
-            for _ in 0..depth * n {
-                out.push(' ');
-            }
-        }
-    }
+}
+
+fn end_tag(name: &str, out: &mut String) {
     out.push_str("</");
     out.push_str(name);
     out.push('>');
@@ -130,6 +144,19 @@ mod tests {
         assert!(pretty.contains('\n'));
         let doc2 = parse(&pretty).unwrap();
         assert_eq!(doc2.len(), 4);
+    }
+
+    #[test]
+    fn deep_documents_round_trip() {
+        let depth = 200_000;
+        let src = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = parse(&src).unwrap();
+        assert_eq!(doc.len(), depth);
+        let emitted = write(&doc, Indent::None);
+        assert_eq!(emitted.len(), src.len() - 3, "the innermost element is empty: <a/>");
+        let doc2 = parse(&emitted).unwrap();
+        assert_eq!(doc2.len(), depth);
+        assert_eq!(doc2.depth_stats().0, doc.depth_stats().0);
     }
 
     #[test]
