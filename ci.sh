@@ -8,6 +8,12 @@ cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# DOM identity at the Full profile: parse(write(doc)) must reproduce the
+# generated DBLP, TreeBank and XMark documents node by node (labels,
+# regions, text, attributes). The Quick variant runs in the workspace
+# tests above; this is the #[ignore]d full-size one, in release.
+cargo test --release -q -p twigbench --test dom_identity -- --ignored
+
 # Bounded fuzz smoke: fixed seed, all dataset generators, release build
 # (~seconds). The corpus is replayed separately by `cargo test` above;
 # this stage runs fresh pairs and fails on any invariant violation.

@@ -1,14 +1,14 @@
 //! Benches for the substrate costs around the matching algorithms:
 //! dataset generation (Figure 14's corpora), index construction (region
-//! and extended-Dewey), and XML parsing — the fixed costs every system in
-//! the comparison shares.
+//! and extended-Dewey), and XML parsing (to a DOM, and to the SAX event
+//! stream) — the fixed costs every system in the comparison shares.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use twigbench::workload::{dblp, Profile};
 use xmlindex::{DeweyIndex, ElementIndex};
 use xmlgen::{generate_dblp, generate_treebank, generate_xmark, DblpConfig, TreebankConfig, XmarkConfig};
-use xmldom::{parse, write, Indent};
+use xmldom::{parse, write, EventParser, Indent};
 
 fn generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/generate");
@@ -53,6 +53,18 @@ fn parsing(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     group.bench_function("parse_dom", |b| b.iter(|| parse(&xml).unwrap().len()));
+    // The structure-only event path the streaming evaluators consume:
+    // same tokenizer, no DOM.
+    group.bench_function("stream_events", |b| {
+        b.iter(|| {
+            let mut events = EventParser::new(&xml);
+            let mut n = 0usize;
+            while events.next_event().unwrap().is_some() {
+                n += 1;
+            }
+            n
+        })
+    });
     group.bench_function("serialize", |b| {
         b.iter(|| write(&ds.doc, Indent::None).len())
     });

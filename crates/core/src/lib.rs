@@ -131,32 +131,21 @@ fn streaming_impl(
         "value predicates need element text, which the structure-only \
          stream drops; use match_document over a DOM instead"
     );
-    // Labels are interned on the fly; the dispatch table must exist before
-    // matching, so run a first lightweight pass for labels only. (A real
-    // stream processor would intern lazily; two passes keep this simple
-    // and still never build a DOM.)
-    let labels = {
-        let _span = twigobs::span(twigobs::Phase::Parse);
-        let mut pass1 = xmldom::EventParser::new(xml);
-        loop {
-            cancel.check().map_err(Abort::Query)?;
-            match pass1.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => return Err(Abort::Parse(e)),
-            }
-        }
-        pass1.into_labels()
-    };
-
+    // One pass: the dispatch table is compiled against a label table
+    // seeded with the query's names, and the event parser keeps interning
+    // the document's other names into it. Those can only match `*` nodes,
+    // which the dispatch's wildcard fallback covers.
+    let mut labels = xmldom::LabelTable::new();
+    for name in gtp.label_names() {
+        labels.intern(name);
+    }
     let mut matcher = Matcher::new(gtp, &labels, options);
     {
         let _span = twigobs::span(twigobs::Phase::Match);
-        let mut pass2 = xmldom::EventParser::new(xml);
+        let mut events = xmldom::EventParser::with_labels(xml, labels);
         loop {
             cancel.check().map_err(Abort::Query)?;
-            match pass2.next_event() {
-                // Both passes intern labels in first-seen order, so ids align.
+            match events.next_event() {
                 Ok(Some(xmldom::Event::End {
                     elem,
                     label,
@@ -194,6 +183,20 @@ mod tests {
             let gtp = parse_twig(q).unwrap();
             let (rs, _) = evaluate_streaming(xml, &gtp, MatchOptions::default()).unwrap();
             assert_eq!(rs, evaluate(&doc, &gtp), "query {q}");
+        }
+    }
+
+    #[test]
+    fn streaming_wildcards_reach_labels_the_query_never_names() {
+        // Every label but `a`/`c` is first interned mid-stream, after the
+        // matcher's dispatch table was compiled.
+        let xml = "<r><x><c/></x><a><y><z/></y><c/></a><w><a><v/></a></w></r>";
+        let doc = parse(xml).unwrap();
+        for q in ["//*[c]", "//a//*", "//*", "//*/*[c]", "/*//a"] {
+            let gtp = parse_twig(q).unwrap();
+            let (rs, _) = evaluate_streaming(xml, &gtp, MatchOptions::default()).unwrap();
+            assert_eq!(rs, evaluate(&doc, &gtp), "query {q}");
+            assert!(!rs.is_empty(), "query {q}");
         }
     }
 

@@ -63,7 +63,6 @@
 use crate::enumerate;
 use crate::matcher::{MatchOptions, Matcher};
 use gtpquery::{Axis, CancelToken, Gtp, NodeTest, QueryError, ResultSet};
-use std::collections::HashMap;
 use xmldom::{Document, Label, LabelTable, NodeId, Region};
 
 /// Handle for one registered subscription; indexes the automaton's
@@ -209,13 +208,15 @@ impl SharedAutomaton {
 }
 
 /// [`SharedAutomaton`] transitions resolved against one stream's
-/// [`LabelTable`]: per state, label-id keyed next-state lists, so the
-/// per-event hot loop never touches strings.
+/// [`LabelTable`]: per state, next-state lists indexed by label id, so the
+/// per-event hot loop never touches strings or hashes. Each list is only
+/// as long as the state's largest named label; labels past it (including
+/// every label interned after binding) have no named transition.
 struct BoundState {
-    /// `/`-transitions by label (named tests only).
-    child: HashMap<Label, Vec<u32>>,
-    /// `//`-transitions by label (named tests only).
-    desc: HashMap<Label, Vec<u32>>,
+    /// `/`-transitions by label index (named tests only).
+    child: Vec<Vec<u32>>,
+    /// `//`-transitions by label index (named tests only).
+    desc: Vec<Vec<u32>>,
     /// `/`-transitions firing on any label.
     wild_child: Vec<u32>,
     /// `//`-transitions firing on any label.
@@ -223,12 +224,38 @@ struct BoundState {
     /// True iff the state has any `//` transition and must be carried
     /// down the subtree once reached.
     carries: bool,
+    /// True iff the state has any transition at all. A state without one
+    /// (a query leaf) only accepts; it never joins an active set, since
+    /// it could not advance at the next level.
+    advances: bool,
     /// Subscriptions accepting at this state.
     accepts: Vec<u32>,
 }
 
+/// Split one axis's transitions into label-indexed named lists and the
+/// wildcard list. Names the table does not hold never fire.
+fn bind(edges: &[(StepTest, u32)], labels: &LabelTable) -> (Vec<Vec<u32>>, Vec<u32>) {
+    let mut named: Vec<Vec<u32>> = Vec::new();
+    let mut wild = Vec::new();
+    for (test, to) in edges {
+        match test {
+            StepTest::Wildcard => wild.push(*to),
+            StepTest::Name(n) => {
+                if let Some(l) = labels.get(n) {
+                    if named.len() <= l.index() {
+                        named.resize_with(l.index() + 1, Vec::new);
+                    }
+                    named[l.index()].push(*to);
+                }
+            }
+        }
+    }
+    (named, wild)
+}
+
 /// One stack frame: the automaton state set active inside the current
 /// element, plus the subscriptions its start tag accepted.
+#[derive(Default)]
 struct Frame {
     /// `(state, desc_only)`: a `desc_only` entry was carried for its
     /// `//` transitions and must not fire `/` transitions.
@@ -264,6 +291,9 @@ pub struct SubscriptionEngine<'a> {
     bound: Vec<BoundState>,
     matchers: Vec<Matcher<'a>>,
     frames: Vec<Frame>,
+    /// Popped frames kept for reuse, so a start tag allocates nothing
+    /// once the stack has been this deep before.
+    spare: Vec<Frame>,
     /// Per-state visit stamps for set-dedup without clearing
     /// (`stamp[s] == generation` ⇒ state `s` already in the new set).
     stamp: Vec<u32>,
@@ -274,7 +304,10 @@ pub struct SubscriptionEngine<'a> {
 }
 
 impl<'a> SubscriptionEngine<'a> {
-    /// Bind `auto` to a stream's label table. Structure-only streams
+    /// Bind `auto` to a stream's label table. Every name the
+    /// subscriptions test must already be interned (a table seeded with
+    /// them, or a complete document table); labels the stream interns
+    /// later can only fire wildcard transitions. Structure-only streams
     /// cannot evaluate value predicates; chain
     /// [`with_text_source`](Self::with_text_source) when a DOM is
     /// available.
@@ -283,30 +316,8 @@ impl<'a> SubscriptionEngine<'a> {
             .states
             .iter()
             .map(|s| {
-                let mut child: HashMap<Label, Vec<u32>> = HashMap::new();
-                let mut desc: HashMap<Label, Vec<u32>> = HashMap::new();
-                let mut wild_child = Vec::new();
-                let mut wild_desc = Vec::new();
-                for (test, to) in &s.child {
-                    match test {
-                        StepTest::Wildcard => wild_child.push(*to),
-                        StepTest::Name(n) => {
-                            if let Some(l) = labels.get(n) {
-                                child.entry(l).or_default().push(*to);
-                            }
-                        }
-                    }
-                }
-                for (test, to) in &s.desc {
-                    match test {
-                        StepTest::Wildcard => wild_desc.push(*to),
-                        StepTest::Name(n) => {
-                            if let Some(l) = labels.get(n) {
-                                desc.entry(l).or_default().push(*to);
-                            }
-                        }
-                    }
-                }
+                let (child, wild_child) = bind(&s.child, labels);
+                let (desc, wild_desc) = bind(&s.desc, labels);
                 BoundState {
                     child,
                     desc,
@@ -317,6 +328,7 @@ impl<'a> SubscriptionEngine<'a> {
                     // the state costs one set entry; keep `carries`
                     // exact against the *bound* transitions.
                     carries: !s.desc.is_empty(),
+                    advances: !s.desc.is_empty() || !s.child.is_empty(),
                     accepts: s.accepts.clone(),
                 }
             })
@@ -335,6 +347,7 @@ impl<'a> SubscriptionEngine<'a> {
                 entries: vec![(0, false)],
                 relevant: Vec::new(),
             }],
+            spare: Vec::new(),
             stamp: vec![0; state_count],
             stamp_full: vec![false; state_count],
             sub_stamp: vec![0; auto.subs.len()],
@@ -364,8 +377,12 @@ impl<'a> SubscriptionEngine<'a> {
         twigobs::bump(twigobs::Counter::SubEvents);
         self.generation += 1;
         let generation = self.generation;
-        let mut entries: Vec<(u32, bool)> = Vec::new();
-        let mut relevant: Vec<u32> = Vec::new();
+        let Frame {
+            mut entries,
+            mut relevant,
+        } = self.spare.pop().unwrap_or_default();
+        entries.clear();
+        relevant.clear();
         let top = self.frames.len() - 1;
         // Index-based iteration: `entries`/`relevant` borrow `self`
         // mutably while the top frame is read.
@@ -373,7 +390,7 @@ impl<'a> SubscriptionEngine<'a> {
             let (state, desc_only) = self.frames[top].entries[ei];
             let bs = &self.bound[state as usize];
             if !desc_only {
-                for &n in bs.child.get(&label).map_or(&[][..], Vec::as_slice) {
+                for &n in bs.child.get(label.index()).map_or(&[][..], Vec::as_slice) {
                     Self::enter(
                         &self.bound,
                         &mut self.stamp,
@@ -398,7 +415,7 @@ impl<'a> SubscriptionEngine<'a> {
                     );
                 }
             }
-            for &n in bs.desc.get(&label).map_or(&[][..], Vec::as_slice) {
+            for &n in bs.desc.get(label.index()).map_or(&[][..], Vec::as_slice) {
                 Self::enter(
                     &self.bound,
                     &mut self.stamp,
@@ -458,7 +475,9 @@ impl<'a> SubscriptionEngine<'a> {
             }
         } else {
             stamp[si] = generation;
-            entries.push((state, false));
+            if bound[si].advances {
+                entries.push((state, false));
+            }
         }
         stamp_full[si] = true;
         for &sub in &bound[si].accepts {
@@ -483,6 +502,7 @@ impl<'a> SubscriptionEngine<'a> {
         for &sub in &frame.relevant {
             self.matchers[sub as usize].on_element_close(elem, label, region);
         }
+        self.spare.push(frame);
     }
 
     /// Finish the stream: enumerate every subscription's results, in
@@ -573,29 +593,22 @@ fn run_subscriptions_impl(
         "value predicates need element text, which the structure-only \
          stream drops; use run_subscriptions_doc over a DOM instead"
     );
-    // Two passes, exactly like `evaluate_streaming`: labels must be
-    // interned before the matchers' dispatch tables are built. Both
-    // passes intern in first-seen order, so ids align.
-    let labels = {
-        let _span = twigobs::span(twigobs::Phase::Parse);
-        let mut pass1 = xmldom::EventParser::new(xml);
-        loop {
-            cancel.check().map_err(SubscribeAbort::Query)?;
-            match pass1.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => return Err(SubscribeAbort::Parse(e)),
-            }
+    // One pass, like `evaluate_streaming`: bind the automaton and the
+    // matchers to a table seeded with every subscription's names, then
+    // let the event parser intern the document's other names into it.
+    let mut labels = LabelTable::new();
+    for gtp in auto.queries() {
+        for name in gtp.label_names() {
+            labels.intern(name);
         }
-        pass1.into_labels()
-    };
+    }
     let mut engine = SubscriptionEngine::new(auto, &labels, options);
     {
         let _span = twigobs::span(twigobs::Phase::Match);
-        let mut pass2 = xmldom::EventParser::new(xml);
+        let mut events = xmldom::EventParser::with_labels(xml, labels);
         loop {
             cancel.check().map_err(SubscribeAbort::Query)?;
-            match pass2.next_event() {
+            match events.next_event() {
                 Ok(Some(xmldom::Event::Start { label, .. })) => engine.on_start(label),
                 Ok(Some(xmldom::Event::End {
                     elem,

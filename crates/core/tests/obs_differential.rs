@@ -8,7 +8,10 @@
 //! the workspace default leaves obs off.
 
 use gtpquery::parse_twig;
-use twig2stack::{enumerate, match_document, match_document_parallel, MatchOptions};
+use twig2stack::{
+    enumerate, evaluate_streaming, match_document, match_document_parallel, run_subscriptions,
+    MatchOptions, SharedAutomaton,
+};
 use twigobs::Counter;
 use xmldom::parse;
 
@@ -115,4 +118,20 @@ fn serial_fallback_is_counted() {
     let m = twigobs::take();
     assert_eq!(m.get(Counter::Fallbacks), 1);
     assert_eq!(m.get(Counter::Chunks), 0);
+}
+
+#[test]
+fn streaming_drivers_scan_each_element_once() {
+    // One tokenizer pass per call: a text-driven run delivers every
+    // element to its consumer exactly once, like a DOM walk.
+    let xml = "<a><b><c/></b><b/><d/></a>";
+    let doc = parse(xml).unwrap();
+    let gtp = parse_twig("//a/b[c]").unwrap();
+    let _ = twigobs::take();
+    evaluate_streaming(xml, &gtp, MatchOptions::default()).unwrap();
+    assert_eq!(twigobs::take().get(Counter::ElementsScanned), doc.len() as u64);
+
+    let auto = SharedAutomaton::build(vec![gtp, parse_twig("//*[c]").unwrap()]);
+    run_subscriptions(xml, &auto, MatchOptions::default()).unwrap();
+    assert_eq!(twigobs::take().get(Counter::ElementsScanned), doc.len() as u64);
 }

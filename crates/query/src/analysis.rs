@@ -408,15 +408,23 @@ fn descend(summary: SummaryRef<'_>, s: u32, axis: Axis, out: &mut SummarySet) {
 pub struct LabelDispatch {
     /// Indexed by `Label::index()`; each entry lists matching query nodes.
     by_label: Vec<Vec<QNodeId>>,
+    /// The wildcard nodes, for labels interned after compilation: every
+    /// named test's name was already in the table, so such a label can
+    /// match only `*` nodes.
+    wildcards: Vec<QNodeId>,
 }
 
 impl LabelDispatch {
     /// Compile the dispatch table of `gtp` against a document's `labels`.
     ///
     /// Named query nodes map to exactly the label with the same name (if the
-    /// document has it); wildcard nodes map to every label.
+    /// table has it); wildcard nodes map to every label, including labels
+    /// the table interns later. A streaming driver can therefore compile
+    /// against a table seeded with the query's names and keep interning
+    /// the document's other names into it while it matches.
     pub fn compile(gtp: &Gtp, labels: &LabelTable) -> Self {
         let mut by_label: Vec<Vec<QNodeId>> = vec![Vec::new(); labels.len()];
+        let mut wildcards = Vec::new();
         for q in gtp.iter() {
             match gtp.test(q) {
                 NodeTest::Name(n) => {
@@ -428,10 +436,11 @@ impl LabelDispatch {
                     for entry in by_label.iter_mut() {
                         entry.push(q);
                     }
+                    wildcards.push(q);
                 }
             }
         }
-        LabelDispatch { by_label }
+        LabelDispatch { by_label, wildcards }
     }
 
     /// Query nodes an element labelled `label` can match.
@@ -439,14 +448,13 @@ impl LabelDispatch {
     pub fn query_nodes(&self, label: Label) -> &[QNodeId] {
         self.by_label
             .get(label.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&self.wildcards, Vec::as_slice)
     }
 
-    /// True iff no query node matches any document label (the query can
-    /// produce no results on this document).
+    /// True iff no query node matches any label, interned now or later
+    /// (the query can produce no results on this document).
     pub fn is_vacuous(&self) -> bool {
-        self.by_label.iter().all(Vec::is_empty)
+        self.wildcards.is_empty() && self.by_label.iter().all(Vec::is_empty)
     }
 }
 
@@ -569,6 +577,48 @@ mod tests {
         let d = LabelDispatch::compile(&g, &labels);
         assert_eq!(d.query_nodes(la).len(), 2); // 'a' node + wildcard
         assert_eq!(d.query_nodes(lx).len(), 1); // wildcard only
+    }
+
+    #[test]
+    fn labels_interned_after_compile_fall_back_to_wildcards() {
+        // Seed the table with the query's names, compile, then intern the
+        // document's other names: they reach the `*` nodes, and only them.
+        let g = parse_twig("//a/*[b]//*").unwrap();
+        let mut labels = LabelTable::new();
+        for n in g.label_names() {
+            labels.intern(n);
+        }
+        let d = LabelDispatch::compile(&g, &labels);
+        let late = labels.intern("zz");
+        let stars: Vec<QNodeId> = g
+            .iter()
+            .filter(|&q| matches!(g.test(q), NodeTest::Wildcard))
+            .collect();
+        assert_eq!(stars.len(), 2);
+        assert_eq!(d.query_nodes(late), stars.as_slice());
+        // A seeded label still gets its named node plus the wildcards, in
+        // query-node order, exactly as a compile over the full table.
+        let la = labels.get("a").unwrap();
+        assert_eq!(d.query_nodes(la), LabelDispatch::compile(&g, &labels).query_nodes(la));
+        assert_eq!(d.query_nodes(la).len(), 3);
+    }
+
+    #[test]
+    fn named_only_queries_have_no_fallback() {
+        let g = parse_twig("//a/b").unwrap();
+        let mut labels = LabelTable::new();
+        labels.intern("a");
+        labels.intern("b");
+        let d = LabelDispatch::compile(&g, &labels);
+        assert!(d.query_nodes(labels.intern("c")).is_empty());
+    }
+
+    #[test]
+    fn wildcard_dispatch_is_never_vacuous() {
+        // An empty table now, but any label interned later matches `*`.
+        let d = LabelDispatch::compile(&parse_twig("//*").unwrap(), &LabelTable::new());
+        assert!(!d.is_vacuous());
+        assert_eq!(d.query_nodes(Label::from_index(7)).len(), 1);
     }
 
     #[test]

@@ -61,11 +61,17 @@ pub(crate) struct NodeData {
 pub struct Document {
     pub(crate) nodes: Vec<NodeData>,
     pub(crate) labels: LabelTable,
-    /// Concatenated character data per node, only for nodes that have any.
-    pub(crate) text: HashMap<u32, String>,
+    /// Every node's character data, back to back in one buffer.
+    pub(crate) text: String,
+    /// Per node, parallel to `nodes`: its character data's byte range in
+    /// `text`, or [`NO_TEXT`] for a node without any.
+    pub(crate) text_spans: Vec<(usize, usize)>,
     /// Attributes per node, only for nodes that have any.
     pub(crate) attrs: HashMap<u32, Vec<(String, String)>>,
 }
+
+/// The text span of a node that has no character data.
+pub(crate) const NO_TEXT: (usize, usize) = (usize::MAX, usize::MAX);
 
 impl Document {
     /// The root element. XML documents have exactly one.
@@ -146,7 +152,24 @@ impl Document {
 
     /// Concatenated character data directly inside `node` (not descendants).
     pub fn text(&self, node: NodeId) -> Option<&str> {
-        self.text.get(&(node.index() as u32)).map(String::as_str)
+        match self.text_spans.get(node.index()) {
+            Some(&(start, end)) if (start, end) != NO_TEXT => Some(&self.text[start..end]),
+            _ => None,
+        }
+    }
+
+    /// Record the next node's character data (call once per node, in
+    /// node order, alongside pushing it).
+    pub(crate) fn push_text_span(&mut self, text: Option<&str>) {
+        let span = text.map_or(NO_TEXT, |t| self.append_text(t));
+        self.text_spans.push(span);
+    }
+
+    /// Append `t` to the text buffer, returning its span.
+    fn append_text(&mut self, t: &str) -> (usize, usize) {
+        let start = self.text.len();
+        self.text.push_str(t);
+        (start, self.text.len())
     }
 
     /// Attributes of `node` in source order.
@@ -247,6 +270,10 @@ pub struct DocumentBuilder {
     doc: Document,
     /// Stack of open element indices.
     open: Vec<u32>,
+    /// Character data of each open element, by depth: whether any was
+    /// added, and the runs so far. An element's text is copied into the
+    /// document's buffer once, when it closes; the buffers are reused.
+    open_text: Vec<(bool, String)>,
     /// Global tag counter: incremented at every start and end tag.
     counter: u32,
     finished_root: bool,
@@ -294,6 +321,14 @@ impl DocumentBuilder {
         let idx = self.doc.nodes.len() as u32;
         let level = self.open.len() as u32 + 1;
         let parent = self.open.last().copied().unwrap_or(NONE);
+        self.doc.text_spans.push(NO_TEXT);
+        let depth = self.open.len();
+        if self.open_text.len() == depth {
+            self.open_text.push((false, String::new()));
+        }
+        let slot = &mut self.open_text[depth];
+        slot.0 = false;
+        slot.1.clear();
         self.doc.nodes.push(NodeData {
             label,
             // `right` is a placeholder patched at end_element; keep the
@@ -322,6 +357,10 @@ impl DocumentBuilder {
     /// Close the most recently opened element.
     pub fn end_element(&mut self) -> Result<NodeId, BuildError> {
         let idx = self.open.pop().ok_or(BuildError::UnbalancedEnd)?;
+        let (has_text, text) = &self.open_text[self.open.len()];
+        if *has_text {
+            self.doc.text_spans[idx as usize] = self.doc.append_text(text);
+        }
         self.counter += 1;
         self.doc.nodes[idx as usize].region.right = self.counter;
         if self.open.is_empty() {
@@ -332,8 +371,12 @@ impl DocumentBuilder {
 
     /// Append character data to the currently open element.
     pub fn text(&mut self, data: &str) -> Result<(), BuildError> {
-        let &idx = self.open.last().ok_or(BuildError::NoOpenElement)?;
-        self.doc.text.entry(idx).or_default().push_str(data);
+        if self.open.is_empty() {
+            return Err(BuildError::NoOpenElement);
+        }
+        let slot = &mut self.open_text[self.open.len() - 1];
+        slot.0 = true;
+        slot.1.push_str(data);
         Ok(())
     }
 
@@ -371,10 +414,13 @@ impl DocumentBuilder {
     }
 
     /// Finish building. Fails if elements remain open or nothing was built.
-    pub fn finish(self) -> Result<Document, BuildError> {
+    pub fn finish(mut self) -> Result<Document, BuildError> {
         if !self.open.is_empty() || self.doc.nodes.is_empty() {
             return Err(BuildError::Unfinished);
         }
+        // Drop the growth slack of the text buffer and its span table.
+        self.doc.text.shrink_to_fit();
+        self.doc.text_spans.shrink_to_fit();
         Ok(self.doc)
     }
 }

@@ -359,10 +359,12 @@ struct Splice<'a> {
 /// come from the numbering mode, labels are carried over or re-interned,
 /// and text/attrs are remapped onto the new ids.
 fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Document {
+    let len = doc.len() - splice.removed + splice.subtree.map_or(0, |s| s.len());
     let mut out = Document {
-        nodes: Vec::with_capacity(doc.len() - splice.removed + splice.subtree.map_or(0, |s| s.len())),
+        nodes: Vec::with_capacity(len),
         labels: doc.labels.clone(),
-        text: Default::default(),
+        text: String::with_capacity(doc.text.len() + splice.subtree.map_or(0, |s| s.text.len())),
+        text_spans: Vec::with_capacity(len),
         attrs: Default::default(),
     };
     let (mut alloc, mut counter, renumber) = match numbering {
@@ -457,9 +459,7 @@ fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Documen
                     (label, Region::new(next_pos(), u32::MAX, level), sub, m)
                 }
             };
-            if let Some(t) = src_doc.text(src_id) {
-                out.text.insert(idx, t.to_string());
-            }
+            out.push_text_span(src_doc.text(src_id));
             let attrs = src_doc.attributes(src_id);
             if !attrs.is_empty() {
                 out.attrs.insert(idx, attrs.to_vec());

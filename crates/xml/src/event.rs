@@ -13,7 +13,7 @@
 
 use crate::document::{Document, NodeId};
 use crate::label::{Label, LabelTable};
-use crate::parser::{ParseError, ParseErrorKind, Scanner, Token};
+use crate::parser::{check_entities, ParseError, ParseErrorKind, Scanner, Token};
 use crate::region::Region;
 
 /// One parse event. The `elem` ids are pre-order ordinals: for events
@@ -135,10 +135,17 @@ impl Iterator for DocEvents<'_> {
 
 /// Streaming event parser over raw XML text: produces [`Event`]s without
 /// ever building a DOM, interning labels into its own [`LabelTable`].
+///
+/// Structure only: character data, CDATA and attribute values produce no
+/// event, but every entity reference in text (inside or outside the root)
+/// and in attribute values is still validated: a syntax or entity error
+/// fails here with the same [`ParseError`] that [`crate::parse`] returns.
+/// (Only document-shape checks differ: the stream has no single-root rule,
+/// and words a stray end tag as "unmatched end tag".)
 pub struct EventParser<'a> {
     scanner: Scanner<'a>,
     labels: LabelTable,
-    /// Open elements: (ordinal, label, left, level).
+    /// Open elements: (ordinal, label, left).
     open: Vec<(u32, Label, u32)>,
     counter: u32,
     next_ordinal: u32,
@@ -150,9 +157,17 @@ pub struct EventParser<'a> {
 impl<'a> EventParser<'a> {
     /// Start streaming over `input`.
     pub fn new(input: &'a str) -> Self {
+        Self::with_labels(input, LabelTable::new())
+    }
+
+    /// Start streaming over `input`, interning into `labels`: names it
+    /// already holds keep their ids, and new names are appended in
+    /// first-seen order. Seeding the table with a query's names lets a
+    /// matcher compiled against it run in the same single pass.
+    pub fn with_labels(input: &'a str, labels: LabelTable) -> Self {
         EventParser {
-            scanner: Scanner::new(input.as_bytes()),
-            labels: LabelTable::new(),
+            scanner: Scanner::new(input),
+            labels,
             open: Vec::new(),
             counter: 0,
             next_ordinal: 0,
@@ -164,11 +179,6 @@ impl<'a> EventParser<'a> {
     /// The labels interned so far (complete once the stream is exhausted).
     pub fn labels(&self) -> &LabelTable {
         &self.labels
-    }
-
-    /// Consume the parser, returning its label table.
-    pub fn into_labels(self) -> LabelTable {
-        self.labels
     }
 
     /// Pull the next event.
@@ -193,8 +203,8 @@ impl<'a> EventParser<'a> {
                 return Ok(None);
             };
             match tok {
-                Token::StartTag { name, self_closing, .. } => {
-                    let label = self.labels.intern(&name);
+                Token::StartTag { name, self_closing } => {
+                    let label = self.labels.intern(name);
                     self.counter += 1;
                     let left = self.counter;
                     let level = self.open.len() as u32 + 1;
@@ -214,7 +224,7 @@ impl<'a> EventParser<'a> {
                     return Ok(Some(start));
                 }
                 Token::EndTag { name } => {
-                    let (ord, label, left) = self.open.pop().ok_or(ParseError {
+                    let (ord, label, left) = self.open.pop().ok_or_else(|| ParseError {
                         offset: self.scanner.pos,
                         kind: ParseErrorKind::Malformed("unmatched end tag".into()),
                     })?;
@@ -223,7 +233,7 @@ impl<'a> EventParser<'a> {
                             offset: self.scanner.pos,
                             kind: ParseErrorKind::MismatchedTag {
                                 expected: self.labels.name(label).to_string(),
-                                found: name,
+                                found: name.to_string(),
                             },
                         });
                     }
@@ -236,7 +246,9 @@ impl<'a> EventParser<'a> {
                         region: Region::new(left, self.counter, level),
                     }));
                 }
-                Token::Text(_) => continue, // structure-only stream
+                // Structure-only stream: text is checked, not kept.
+                Token::Text(t) => check_entities(t, self.scanner.pos)?,
+                Token::Cdata(_) => {}
             }
         }
     }
@@ -335,6 +347,20 @@ mod tests {
                 _ => panic!("event kind mismatch"),
             }
         }
+    }
+
+    #[test]
+    fn seeded_labels_keep_their_ids() {
+        let mut seed = LabelTable::new();
+        let d = seed.intern("d");
+        let q = seed.intern("q"); // never occurs in the document
+        let (events, labels) = EventParser::with_labels(SRC, seed).collect_events().unwrap();
+        assert_eq!(labels.get("d"), Some(d));
+        assert_eq!(labels.get("q"), Some(q));
+        // The document's other names follow the seed, in first-seen order.
+        let names: Vec<&str> = labels.iter().map(|(_, n)| n).collect();
+        assert_eq!(names, vec!["d", "q", "a", "b", "c"]);
+        assert_eq!(events.len(), 8);
     }
 
     #[test]

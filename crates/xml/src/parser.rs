@@ -6,11 +6,18 @@
 //! DOCTYPE (skipped, without internal subset), and the five predefined
 //! entities plus decimal/hex character references.
 //!
-//! The parser is a hand-rolled recursive scanner over bytes; it produces
-//! either a [`Document`] (via [`parse`]) or a stream of
-//! [`crate::event::Event`]s (via [`crate::event::EventParser`]).
+//! One iterative, borrowed-slice tokenizer (`Scanner`) feeds both the
+//! DOM builder ([`parse`]) and the SAX event path
+//! ([`crate::event::EventParser`]). Its tokens are `&str` slices of the
+//! input: names, raw character data, CDATA, and raw attribute values in
+//! one reusable buffer. Character data and quoted values are found with a
+//! word-at-a-time byte search. Entities are decoded only where a value is
+//! kept (`decode_entities` copies only when the text holds a reference);
+//! the structure-only event path validates them in place
+//! (`check_entities`) and allocates nothing per token.
 
 use crate::document::{BuildError, Document, DocumentBuilder};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Position-annotated parse error.
@@ -40,8 +47,6 @@ pub enum ParseErrorKind {
     Build(BuildError),
     /// An unknown `&entity;`.
     UnknownEntity(String),
-    /// Bytes were not valid UTF-8.
-    InvalidUtf8,
 }
 
 impl fmt::Display for ParseError {
@@ -55,7 +60,6 @@ impl fmt::Display for ParseError {
             }
             ParseErrorKind::Build(e) => write!(f, "document structure error: {e}"),
             ParseErrorKind::UnknownEntity(e) => write!(f, "unknown entity &{e};"),
-            ParseErrorKind::InvalidUtf8 => write!(f, "invalid UTF-8"),
         }
     }
 }
@@ -70,39 +74,53 @@ impl std::error::Error for ParseError {}
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     let _span = twigobs::span(twigobs::Phase::Parse);
     let mut builder = DocumentBuilder::new();
-    let mut open: Vec<String> = Vec::new();
-    let mut scanner = Scanner::new(input.as_bytes());
+    let mut open: Vec<&str> = Vec::new();
+    let mut scanner = Scanner::new(input);
     while let Some(tok) = scanner.next_token()? {
+        let at = scanner.pos;
+        let build_err = |e| ParseError { offset: at, kind: ParseErrorKind::Build(e) };
         match tok {
-            Token::StartTag { name, attrs, self_closing } => {
-                builder
-                    .start_element(&name)
-                    .map_err(|e| scanner.err_build(e))?;
-                for (k, v) in &attrs {
-                    builder.attr(k, v).map_err(|e| scanner.err_build(e))?;
+            Token::StartTag { name, self_closing } => {
+                builder.start_element(name).map_err(build_err)?;
+                for &(k, v) in scanner.attrs() {
+                    // The scanner already validated the value's entities.
+                    builder.attr(k, &decode_entities(v, at)?).map_err(build_err)?;
                 }
                 if self_closing {
-                    builder.end_element().map_err(|e| scanner.err_build(e))?;
+                    builder.end_element().map_err(build_err)?;
                 } else {
                     open.push(name);
                 }
             }
             Token::EndTag { name } => {
                 let expected = open.pop().ok_or_else(|| ParseError {
-                    offset: scanner.pos,
+                    offset: at,
                     kind: ParseErrorKind::Malformed("end tag with no open element".into()),
                 })?;
                 if expected != name {
                     return Err(ParseError {
-                        offset: scanner.pos,
-                        kind: ParseErrorKind::MismatchedTag { expected, found: name },
+                        offset: at,
+                        kind: ParseErrorKind::MismatchedTag {
+                            expected: expected.to_string(),
+                            found: name.to_string(),
+                        },
                     });
                 }
-                builder.end_element().map_err(|e| scanner.err_build(e))?;
+                builder.end_element().map_err(build_err)?;
             }
+            // Text outside the root is dropped, but its entities must
+            // still be valid. Inside an element, decode before the
+            // whitespace test so a `&#32;` run is dropped too.
+            Token::Text(t) if open.is_empty() => check_entities(t, at)?,
             Token::Text(t) => {
+                let t = decode_entities(t, at)?;
+                if !t.trim().is_empty() {
+                    builder.text(&t).map_err(build_err)?;
+                }
+            }
+            Token::Cdata(t) => {
                 if !open.is_empty() && !t.trim().is_empty() {
-                    builder.text(&t).map_err(|e| scanner.err_build(e))?;
+                    builder.text(t).map_err(build_err)?;
                 }
             }
         }
@@ -119,37 +137,48 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
     })
 }
 
-/// One markup token produced by the [`Scanner`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Token {
-    StartTag {
-        name: String,
-        attrs: Vec<(String, String)>,
-        self_closing: bool,
-    },
-    EndTag {
-        name: String,
-    },
-    Text(String),
+/// One markup token produced by the [`Scanner`], borrowed from its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Token<'a> {
+    /// A start tag; its raw attributes are in [`Scanner::attrs`] until
+    /// the next token.
+    StartTag { name: &'a str, self_closing: bool },
+    EndTag { name: &'a str },
+    /// Character data, entity references not yet decoded.
+    Text(&'a str),
+    /// A CDATA section's content, verbatim (never entity-decoded).
+    Cdata(&'a str),
 }
 
 /// Low-level tokenizer shared by the DOM parser and the event parser.
+///
+/// Every slice it hands out starts and ends at an ASCII delimiter (or the
+/// input's ends), so slicing the `&str` input never splits a character.
 pub(crate) struct Scanner<'a> {
+    src: &'a str,
     input: &'a [u8],
     pub(crate) pos: usize,
+    /// The last start tag's `(name, raw value)` pairs, reused per tag.
+    attrs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Scanner<'a> {
-    pub(crate) fn new(input: &'a [u8]) -> Self {
-        Scanner { input, pos: 0 }
+    pub(crate) fn new(src: &'a str) -> Self {
+        Scanner { src, input: src.as_bytes(), pos: 0, attrs: Vec::new() }
+    }
+
+    /// Attributes of the last [`Token::StartTag`], values raw (entities
+    /// already checked, not decoded).
+    pub(crate) fn attrs(&self) -> &[(&'a str, &'a str)] {
+        &self.attrs
     }
 
     fn err(&self, kind: ParseErrorKind) -> ParseError {
         ParseError { offset: self.pos, kind }
     }
 
-    fn err_build(&self, e: BuildError) -> ParseError {
-        self.err(ParseErrorKind::Build(e))
+    fn malformed(&self, msg: impl Into<String>) -> ParseError {
+        self.err(ParseErrorKind::Malformed(msg.into()))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -162,23 +191,22 @@ impl<'a> Scanner<'a> {
         Some(b)
     }
 
-    fn eat(&mut self, s: &[u8]) -> bool {
-        if self.input[self.pos..].starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_until(&mut self, s: &[u8]) -> Result<(), ParseError> {
-        while self.pos < self.input.len() {
-            if self.eat(s) {
+    /// Move past the first occurrence of `pat` at or after `pos`; at end
+    /// of input without one, `pos` is the input length.
+    fn skip_until(&mut self, pat: &[u8]) -> Result<(), ParseError> {
+        let mut at = self.pos;
+        loop {
+            at = find_byte(self.input, at, pat[0]);
+            if at == self.input.len() {
+                self.pos = at;
+                return Err(self.err(ParseErrorKind::UnexpectedEof));
+            }
+            if self.input[at..].starts_with(pat) {
+                self.pos = at + pat.len();
                 return Ok(());
             }
-            self.pos += 1;
+            at += 1;
         }
-        Err(self.err(ParseErrorKind::UnexpectedEof))
     }
 
     fn skip_ws(&mut self) {
@@ -187,170 +215,198 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, ParseError> {
+    fn read_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        // ASCII only, so a name never ends inside a multi-byte character.
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':'))
+        {
+            self.pos += 1;
         }
         if self.pos == start {
-            return Err(self.err(ParseErrorKind::Malformed("expected a name".into())));
+            return Err(self.malformed("expected a name"));
         }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .map(|s| s.to_string())
-            .map_err(|_| self.err(ParseErrorKind::InvalidUtf8))
+        Ok(&self.src[start..self.pos])
     }
 
     /// Next markup/text token, or `None` at end of input.
-    pub(crate) fn next_token(&mut self) -> Result<Option<Token>, ParseError> {
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         loop {
-            if self.pos >= self.input.len() {
+            let Some(b) = self.peek() else {
                 return Ok(None);
+            };
+            if b != b'<' {
+                // Character data run, up to the next '<'.
+                let start = self.pos;
+                self.pos = find_byte(self.input, start, b'<');
+                return Ok(Some(Token::Text(&self.src[start..self.pos])));
             }
-            if self.peek() == Some(b'<') {
-                if self.eat(b"<!--") {
-                    self.skip_until(b"-->")?;
-                    continue;
-                }
-                if self.eat(b"<![CDATA[") {
-                    let start = self.pos;
-                    self.skip_until(b"]]>")?;
-                    let raw = &self.input[start..self.pos - 3];
-                    let text = std::str::from_utf8(raw)
-                        .map_err(|_| self.err(ParseErrorKind::InvalidUtf8))?;
-                    return Ok(Some(Token::Text(text.to_string())));
-                }
-                if self.eat(b"<!DOCTYPE") || self.eat(b"<!doctype") {
-                    // Skip to the matching '>' (no internal-subset support).
-                    self.skip_until(b">")?;
-                    continue;
-                }
-                if self.eat(b"<?") {
-                    self.skip_until(b"?>")?;
-                    continue;
-                }
-                if self.eat(b"</") {
+            let rest = &self.input[self.pos..];
+            match rest.get(1) {
+                Some(b'/') => {
+                    self.pos += 2;
                     let name = self.read_name()?;
                     self.skip_ws();
                     if self.bump() != Some(b'>') {
-                        return Err(self.err(ParseErrorKind::Malformed(
-                            "end tag not terminated by '>'".into(),
-                        )));
+                        return Err(self.malformed("end tag not terminated by '>'"));
                     }
                     return Ok(Some(Token::EndTag { name }));
                 }
-                // Ordinary start tag.
-                self.pos += 1; // consume '<'
-                let name = self.read_name()?;
-                let mut attrs = Vec::new();
-                loop {
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b'>') => {
-                            self.pos += 1;
-                            return Ok(Some(Token::StartTag { name, attrs, self_closing: false }));
-                        }
-                        Some(b'/') => {
-                            self.pos += 1;
-                            if self.bump() != Some(b'>') {
-                                return Err(self.err(ParseErrorKind::Malformed(
-                                    "expected '>' after '/'".into(),
-                                )));
-                            }
-                            return Ok(Some(Token::StartTag { name, attrs, self_closing: true }));
-                        }
-                        Some(_) => {
-                            let aname = self.read_name()?;
-                            self.skip_ws();
-                            if self.bump() != Some(b'=') {
-                                return Err(self.err(ParseErrorKind::Malformed(
-                                    format!("attribute '{aname}' missing '='"),
-                                )));
-                            }
-                            self.skip_ws();
-                            let quote = self.bump().ok_or_else(|| {
-                                self.err(ParseErrorKind::UnexpectedEof)
-                            })?;
-                            if quote != b'"' && quote != b'\'' {
-                                return Err(self.err(ParseErrorKind::Malformed(
-                                    "attribute value must be quoted".into(),
-                                )));
-                            }
-                            let start = self.pos;
-                            while self.peek().is_some_and(|b| b != quote) {
-                                self.pos += 1;
-                            }
-                            if self.peek().is_none() {
-                                return Err(self.err(ParseErrorKind::UnexpectedEof));
-                            }
-                            let raw = std::str::from_utf8(&self.input[start..self.pos])
-                                .map_err(|_| self.err(ParseErrorKind::InvalidUtf8))?;
-                            let value = self.decode_entities(raw)?;
-                            self.pos += 1; // closing quote
-                            attrs.push((aname, value));
-                        }
-                        None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                    }
+                Some(b'!') if rest.starts_with(b"<!--") => {
+                    self.pos += 4;
+                    self.skip_until(b"-->")?;
                 }
+                Some(b'!') if rest.starts_with(b"<![CDATA[") => {
+                    self.pos += 9;
+                    let start = self.pos;
+                    self.skip_until(b"]]>")?;
+                    return Ok(Some(Token::Cdata(&self.src[start..self.pos - 3])));
+                }
+                Some(b'!') if rest.starts_with(b"<!DOCTYPE") || rest.starts_with(b"<!doctype") => {
+                    // Skip to the matching '>' (no internal-subset support).
+                    self.pos += 9;
+                    self.skip_until(b">")?;
+                }
+                Some(b'?') => {
+                    self.pos += 2;
+                    self.skip_until(b"?>")?;
+                }
+                // Anything else, including other `<!` forms, is read as a
+                // start tag (and those fail on the missing name).
+                _ => return self.start_tag().map(Some),
             }
-            // Character data run, up to the next '<'.
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b != b'<') {
-                self.pos += 1;
-            }
-            let raw = std::str::from_utf8(&self.input[start..self.pos])
-                .map_err(|_| self.err(ParseErrorKind::InvalidUtf8))?;
-            let decoded = self.decode_entities(raw)?;
-            return Ok(Some(Token::Text(decoded)));
         }
     }
 
-    /// Replace the predefined entities and character references in `s`.
-    fn decode_entities(&self, s: &str) -> Result<String, ParseError> {
-        if !s.contains('&') {
-            return Ok(s.to_string());
-        }
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s;
-        while let Some(amp) = rest.find('&') {
-            out.push_str(&rest[..amp]);
-            rest = &rest[amp + 1..];
-            let semi = rest.find(';').ok_or_else(|| {
-                self.err(ParseErrorKind::Malformed("unterminated entity".into()))
-            })?;
-            let ent = &rest[..semi];
-            match ent {
-                "lt" => out.push('<'),
-                "gt" => out.push('>'),
-                "amp" => out.push('&'),
-                "apos" => out.push('\''),
-                "quot" => out.push('"'),
-                _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                    let cp = u32::from_str_radix(&ent[2..], 16).map_err(|_| {
-                        self.err(ParseErrorKind::UnknownEntity(ent.to_string()))
-                    })?;
-                    out.push(char::from_u32(cp).ok_or_else(|| {
-                        self.err(ParseErrorKind::UnknownEntity(ent.to_string()))
-                    })?);
+    /// An ordinary start tag, `pos` at its '<'.
+    fn start_tag(&mut self) -> Result<Token<'a>, ParseError> {
+        self.pos += 1;
+        let name = self.read_name()?;
+        self.attrs.clear();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'>') => {
+                    self.pos += 1;
+                    return Ok(Token::StartTag { name, self_closing: false });
                 }
-                _ if ent.starts_with('#') => {
-                    let cp: u32 = ent[1..].parse().map_err(|_| {
-                        self.err(ParseErrorKind::UnknownEntity(ent.to_string()))
-                    })?;
-                    out.push(char::from_u32(cp).ok_or_else(|| {
-                        self.err(ParseErrorKind::UnknownEntity(ent.to_string()))
-                    })?);
+                Some(b'/') => {
+                    self.pos += 1;
+                    if self.bump() != Some(b'>') {
+                        return Err(self.malformed("expected '>' after '/'"));
+                    }
+                    return Ok(Token::StartTag { name, self_closing: true });
                 }
-                _ => return Err(self.err(ParseErrorKind::UnknownEntity(ent.to_string()))),
+                Some(_) => {
+                    let aname = self.read_name()?;
+                    self.skip_ws();
+                    if self.bump() != Some(b'=') {
+                        return Err(self.malformed(format!("attribute '{aname}' missing '='")));
+                    }
+                    self.skip_ws();
+                    let quote = self.bump().ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof))?;
+                    if quote != b'"' && quote != b'\'' {
+                        return Err(self.malformed("attribute value must be quoted"));
+                    }
+                    let start = self.pos;
+                    self.pos = find_byte(self.input, start, quote);
+                    if self.pos == self.input.len() {
+                        return Err(self.err(ParseErrorKind::UnexpectedEof));
+                    }
+                    let raw = &self.src[start..self.pos];
+                    check_entities(raw, self.pos)?;
+                    self.pos += 1; // closing quote
+                    self.attrs.push((aname, raw));
+                }
+                None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
             }
-            rest = &rest[semi + 1..];
         }
-        out.push_str(rest);
-        Ok(out)
     }
+}
+
+/// Index of the first `needle` in `hay` at or after `from`, or
+/// `hay.len()` if there is none. Compares eight bytes per step: a byte of
+/// `word ^ needle×8` is zero exactly where the needle sits, and the
+/// lowest set bit of the classic has-zero-byte mask marks the first such
+/// byte (carries only corrupt bits above it).
+#[inline]
+fn find_byte(hay: &[u8], from: usize, needle: u8) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let pattern = LO * needle as u64;
+    let mut chunks = hay[from..].chunks_exact(8);
+    let mut at = from;
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ pattern;
+        let zero = word.wrapping_sub(LO) & !word & HI;
+        if zero != 0 {
+            return at + (zero.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    match chunks.remainder().iter().position(|&b| b == needle) {
+        Some(i) => at + i,
+        None => hay.len(),
+    }
+}
+
+/// Replace the predefined entities and character references in `s`.
+/// Borrows `s` unchanged when it holds no `&`. Errors carry `offset`.
+pub(crate) fn decode_entities(s: &str, offset: usize) -> Result<Cow<'_, str>, ParseError> {
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
+    let mut out = String::with_capacity(s.len());
+    walk_entities(s, offset, Some(&mut out))?;
+    Ok(Cow::Owned(out))
+}
+
+/// Validate every entity reference in `s` exactly as [`decode_entities`]
+/// would, without allocating.
+pub(crate) fn check_entities(s: &str, offset: usize) -> Result<(), ParseError> {
+    walk_entities(s, offset, None)
+}
+
+/// Decode `s` into `out`, or only validate it when `out` is `None`.
+fn walk_entities(s: &str, offset: usize, mut out: Option<&mut String>) -> Result<(), ParseError> {
+    let err = |kind| ParseError { offset, kind };
+    let unknown = |ent: &str| err(ParseErrorKind::UnknownEntity(ent.to_string()));
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        if let Some(o) = out.as_deref_mut() {
+            o.push_str(&rest[..amp]);
+        }
+        rest = &rest[amp + 1..];
+        let semi = rest
+            .find(';')
+            .ok_or_else(|| err(ParseErrorKind::Malformed("unterminated entity".into())))?;
+        let ent = &rest[..semi];
+        let c = match ent {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "apos" => '\'',
+            "quot" => '"',
+            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
+                let cp = u32::from_str_radix(&ent[2..], 16).map_err(|_| unknown(ent))?;
+                char::from_u32(cp).ok_or_else(|| unknown(ent))?
+            }
+            _ if ent.starts_with('#') => {
+                let cp: u32 = ent[1..].parse().map_err(|_| unknown(ent))?;
+                char::from_u32(cp).ok_or_else(|| unknown(ent))?
+            }
+            _ => return Err(unknown(ent)),
+        };
+        if let Some(o) = out.as_deref_mut() {
+            o.push(c);
+        }
+        rest = &rest[semi + 1..];
+    }
+    if let Some(o) = out {
+        o.push_str(rest);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -442,6 +498,35 @@ mod tests {
     fn whitespace_only_text_is_dropped() {
         let doc = parse("<a>\n  <b/>\n</a>").unwrap();
         assert_eq!(doc.text(doc.root()), None);
+    }
+
+    #[test]
+    fn find_byte_agrees_with_a_linear_scan() {
+        // Needles at every offset of a word and in the tail, beside
+        // bytes that differ from the needle only in the high bit.
+        let mut hay: Vec<u8> = (0..40u8).map(|i| 0x80 | (i % 0x3c)).collect();
+        hay.extend_from_slice("é<a".as_bytes());
+        for from in 0..hay.len() {
+            for needle in [b'<', 0xBC, b'a', b'&', 0x80] {
+                let want = hay[from..]
+                    .iter()
+                    .position(|&b| b == needle)
+                    .map_or(hay.len(), |i| from + i);
+                assert_eq!(find_byte(&hay, from, needle), want, "from {from}, {needle:#x}");
+            }
+        }
+        assert_eq!(find_byte(b"", 0, b'<'), 0);
+    }
+
+    #[test]
+    fn decoding_borrows_unless_an_entity_is_present() {
+        assert!(matches!(decode_entities("plain é", 0), Ok(Cow::Borrowed("plain é"))));
+        assert_eq!(decode_entities("a&lt;b&#x20AC;", 0).unwrap(), "a<b€");
+        assert_eq!(check_entities("a&lt;b", 0), Ok(()));
+        assert_eq!(
+            check_entities("x&nope;", 9),
+            Err(ParseError { offset: 9, kind: ParseErrorKind::UnknownEntity("nope".into()) })
+        );
     }
 
     #[test]
