@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # tests above; this is the #[ignore]d full-size one, in release.
 cargo test --release -q -p twigbench --test dom_identity -- --ignored
 
+# Notifications at the Full profile: the edit-churn workload's four
+# standing queries on XMark under a 30-edit record chain; every
+# notification must equal the brute-force delta, op by op and batched.
+# The Quick variant runs in the workspace tests above.
+cargo test --release -q -p twigbench --test notification_oracle -- --ignored
+
 # Bounded fuzz smoke: fixed seed, all dataset generators, release build
 # (~seconds). The corpus is replayed separately by `cargo test` above;
 # this stage runs fresh pairs and fails on any invariant violation.
@@ -24,7 +30,9 @@ cargo run --release -q -p twigbench --bin twigfuzz -- \
 # pairs per dataset (700 seeded edit scripts — the floor is 500). Each
 # script chains random inserts/deletes/replaces (root-adjacent and
 # empty-document edges included) and asserts the incrementally
-# maintained index stays byte-equal to a rebuild after every step.
+# maintained index stays byte-equal to a rebuild after every step, and
+# that a subscription service driven by the same script publishes
+# exactly the brute-force notification deltas.
 cargo run --release -q -p twigbench --bin twigfuzz -- \
     --seed 0xED17 --cases 175 --invariant edited_vs_rebuilt \
     --profile ci-edit-smoke

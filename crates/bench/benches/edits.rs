@@ -1,7 +1,9 @@
 //! Criterion bench for the edit path: incremental index maintenance
 //! ([`xmlindex::ElementIndex::apply_edit`]) vs rebuild-from-scratch on a
-//! gap-fitting insert, and the full service-level edit (rotation plus
-//! plan-cache invalidation) through [`twigserve::QueryService`].
+//! gap-fitting insert, the full service-level edit (rotation plus
+//! plan-cache invalidation) through [`twigserve::QueryService`], and one
+//! write through [`twigserve::SubscriptionService`] (rotation, the shared
+//! automaton pass and the notification diff; criterion only).
 //!
 //! Besides the console report, the run exports `BENCH_edits.json` at the
 //! repo root (schema `twig2stack.bench/v1`) with best-of-3 wall-clock
@@ -13,10 +15,11 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use twigbench::workload::{dblp, Profile};
+use twigbench::workload::{dblp, xmark, Profile};
 use twigbench::{fige, FigERow};
-use twigserve::{QueryService, ServiceConfig};
+use twigserve::{QueryService, ServiceConfig, SubscriptionService};
 use xmldom::{apply_op, parse, Document, EditOp};
 use xmlindex::ElementIndex;
 
@@ -80,6 +83,57 @@ fn service_edit(c: &mut Criterion) {
             let target = snap.doc().children(snap.doc().root()).next().unwrap();
             svc.apply_edit(&EditOp::DeleteSubtree { target }).expect("delete applies");
             receipt.version
+        })
+    });
+    group.finish();
+}
+
+/// One `SubscriptionService::apply_edit` on quick-scale XMark with the
+/// four standing queries of the `edit-churn` workload (XMark-Q1–Q3 and
+/// Figure 19(b)). Iterations alternate inserting a copy of a `person`
+/// record at the front of `people` and deleting it again, so the
+/// document does not grow across the measurement.
+fn subscribe_edit(c: &mut Criterion) {
+    let ds = xmark(Profile::Quick, 1);
+    let subs = SubscriptionService::new(Arc::new(QueryService::build(
+        ds.doc.clone(),
+        ServiceConfig::default(),
+    )));
+    for q in [
+        "/site/open_auctions[.//bidder/personref]//reserve",
+        "//people//person[.//address/zipcode]/profile/education",
+        "//item[location]/description//keyword",
+        "//people//person[.//address!/zipcode!]/profile/education",
+    ] {
+        subs.register(q).expect("standing queries register");
+    }
+    let label = |name| ds.doc.labels().get(name).expect("XMark label");
+    let person = ds.doc.nodes_with_label(label("person"))[0];
+    // Edits stay inside `people`'s subtree, so its id never shifts.
+    let people = ds.doc.nodes_with_label(label("people"))[0];
+    let insert = EditOp::InsertSubtree {
+        parent: Some(people),
+        position: 0,
+        subtree: xmlgen::extract_subtree(&ds.doc, person),
+    };
+    let mut group = c.benchmark_group("edits");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(400));
+    let mut grow = true;
+    group.bench_function("subscribe_apply_edit", |b| {
+        b.iter(|| {
+            let op = if grow {
+                insert.clone()
+            } else {
+                let target = subs.service().snapshot().doc().children(people).next();
+                EditOp::DeleteSubtree {
+                    target: target.expect("the inserted record"),
+                }
+            };
+            grow = !grow;
+            subs.apply_edit(&op).expect("edit applies").1.len()
         })
     });
     group.finish();
@@ -154,5 +208,11 @@ fn export_json(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, patch_vs_rebuild, service_edit, export_json);
+criterion_group!(
+    benches,
+    patch_vs_rebuild,
+    service_edit,
+    subscribe_edit,
+    export_json
+);
 criterion_main!(benches);

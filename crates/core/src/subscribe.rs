@@ -1,5 +1,5 @@
 //! Continuous multi-query subscriptions over the event stream
-//! ("twigsub", ROADMAP item 2; DESIGN.md §17).
+//! ("twigsub"; DESIGN.md §17).
 //!
 //! The engines in this crate answer *one* query over *one* document.
 //! This module inverts the workload: thousands of **standing** GTP

@@ -13,6 +13,7 @@ use crate::edits::{derive_script, EditScript};
 use crate::gen::group_members;
 use crate::shrink::copy_without;
 use gtpquery::{Cell, Gtp, QueryAnalysis, ResultSet, Role};
+use std::collections::HashSet;
 use twig2stack::{
     count_results, enumerate, evaluate, evaluate_early, evaluate_indexed, evaluate_parallel,
     evaluate_streaming, match_document, MatchOptions,
@@ -22,7 +23,7 @@ use twigbaselines::{
     path_stack_indexed, tj_fast, tj_fast_indexed, twig_stack_indexed, DeweyResolver,
     PathStackStats, TJFastStats, TwigStackStats,
 };
-use xmldom::{write, Document, Indent, Label};
+use xmldom::{write, Document, EditDelta, EditOp, Indent, Label, NodeId};
 use xmlindex::{DeweyIndex, EditApply, ElementIndex, MappedIndex, PruningPolicy, SliceStream};
 
 /// The metamorphic invariants, in report order.
@@ -64,7 +65,9 @@ pub enum Invariant {
     /// `ElementIndex::apply_edit` across a derived random edit script
     /// yields, at every step, an index structurally identical to one
     /// rebuilt from scratch (elements, sid tags, skip blocks, path
-    /// summary), and byte-equal query results on the final document.
+    /// summary), and byte-equal query results on the final document; the
+    /// same script through a subscription service publishes exactly the
+    /// brute-force notification deltas (DESIGN.md §17).
     EditedVsRebuilt,
     /// Sharded scatter-gather over a multi-document catalog equals
     /// serial per-document evaluation concatenated in doc-id order, the
@@ -863,6 +866,10 @@ pub fn check_subscriptions(doc: &Document, subs: &[Gtp]) -> Outcome {
 /// must also produce byte-equal query results to the rebuilt one and to
 /// the naive oracle, pruned and unpruned: structural equality proves
 /// the encoding, the query pass proves the index is actually usable.
+///
+/// The same script then drives a [`twigserve::SubscriptionService`]
+/// holding the query and a `//*` sibling, and every notification must
+/// equal the brute-force delta ([`check_notifications`]).
 pub fn check_script(doc: &Document, gtp: &Gtp, script: &EditScript) -> Outcome {
     let steps = match script.apply(doc) {
         Ok(s) => s,
@@ -903,7 +910,189 @@ pub fn check_script(doc: &Document, gtp: &Gtp, script: &EditScript) -> Outcome {
             }
         }
     }
-    Outcome::Passed
+    if !analysis.enumerable() || analysis.columns().is_empty() {
+        return Outcome::Passed;
+    }
+    // Every state of the chain; op `i` addresses `states[i]`.
+    let states = std::iter::once(doc).chain(steps.iter().map(|(d, _)| d));
+    let rows = |d: &Document| count_results(&match_document(d, gtp, MatchOptions::default()).0);
+    if states.clone().any(|d| rows(d) > MAX_ROWS as u64) {
+        return Outcome::Skipped("result set too large for the smoke budget");
+    }
+    let ops = match script
+        .ops
+        .iter()
+        .zip(states)
+        .map(|(sop, d)| sop.to_edit_op(d))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(ops) => ops,
+        Err(e) => return Outcome::Failed(format!("edit script does not lower: {e}")),
+    };
+    let wild = gtpquery::parse_twig("//*").expect("static wildcard parses");
+    check_notifications(doc, &[gtp.clone(), wild], &ops)
+}
+
+/// The brute-force notification oracle: the `(added, removed)` delta a
+/// subscription must publish when its match set goes from `old` to `new`
+/// across a rotation that applied `deltas`. Every old row is carried into
+/// the new snapshot's ids through the composed [`EditDelta::map_id`]; a
+/// row with any id that is gone (a group that lost a member included)
+/// counts as removed. Membership is hash-set based, independent of the
+/// service's ordered merge. `added` keeps `new`'s row order and ids,
+/// `removed` keeps `old`'s.
+pub fn expected_notification(
+    old: &ResultSet,
+    deltas: &[EditDelta],
+    new: &ResultSet,
+) -> (ResultSet, ResultSet) {
+    let map = |n: &NodeId| {
+        deltas
+            .iter()
+            .try_fold(n.index() as u32, |id, d| d.map_id(id))
+            .map(|id| NodeId::from_index(id as usize))
+    };
+    let carried: Vec<Option<Vec<Cell>>> = old
+        .rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|c| match c {
+                    Cell::Node(n) => map(n).map(Cell::Node),
+                    Cell::Null => Some(Cell::Null),
+                    Cell::Group(g) => g.iter().map(map).collect::<Option<_>>().map(Cell::Group),
+                })
+                .collect()
+        })
+        .collect();
+    let old_set: HashSet<&Vec<Cell>> = carried.iter().flatten().collect();
+    let new_set: HashSet<&Vec<Cell>> = new.rows.iter().collect();
+    let mut added = ResultSet::new(new.columns.clone());
+    for row in new.rows.iter().filter(|r| !old_set.contains(r)) {
+        added.push(row.clone());
+    }
+    let mut removed = ResultSet::new(old.columns.clone());
+    for (row, c) in old.rows.iter().zip(&carried) {
+        if !c.as_ref().is_some_and(|c| new_set.contains(c)) {
+            removed.push(row.clone());
+        }
+    }
+    (added, removed)
+}
+
+/// Drive `ops` through a [`twigserve::SubscriptionService`] holding
+/// `queries` twice — op by op with `apply_edit`, then as one
+/// `apply_edits` batch on a fresh service — and demand after every
+/// rotation that each subscription's published `matches()` equals a solo
+/// [`evaluate`] on the rotated snapshot, and that its notification
+/// equals [`expected_notification`] row for row, in order (no
+/// notification when that delta is empty). `ops[i]` addresses the
+/// document as it stands after `ops[..i]`.
+pub fn check_notifications(doc: &Document, queries: &[Gtp], ops: &[EditOp]) -> Outcome {
+    use twigserve::{QueryService, ServiceConfig, SubscriptionService};
+
+    // Registration takes query text; the oracle evaluates the re-parsed
+    // form, whose query-node numbering (the result schema) the service
+    // shares.
+    let texts: Vec<String> = queries.iter().map(gtpquery::serialize).collect();
+    let gtps = match texts
+        .iter()
+        .map(|t| gtpquery::parse_twig(t))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(g) => g,
+        Err(e) => {
+            return Outcome::Failed(format!("canonical serialization failed to re-parse: {e}"))
+        }
+    };
+    let subscribe = || -> Result<_, String> {
+        let svc = QueryService::build(doc.clone(), ServiceConfig::default());
+        let subs = SubscriptionService::new(std::sync::Arc::new(svc));
+        let ids = texts
+            .iter()
+            .map(|t| subs.register(t).map_err(|e| format!("register {t}: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((subs, ids))
+    };
+    let run = || -> Result<(), String> {
+        let (subs, ids) = subscribe()?;
+        for (step, op) in ops.iter().enumerate() {
+            check_rotation(&subs, &ids, &gtps, || {
+                let (r, notes) = subs.apply_edit(op).map_err(|e| e.to_string())?;
+                Ok((r.version, vec![r.delta], notes))
+            })
+            .map_err(|e| format!("step {step}: {e}"))?;
+        }
+        let (subs, ids) = subscribe()?;
+        check_rotation(&subs, &ids, &gtps, || {
+            let (r, notes) = subs.apply_edits(ops).map_err(|e| e.to_string())?;
+            Ok((r.version, r.deltas, notes))
+        })
+        .map_err(|e| format!("batch of {}: {e}", ops.len()))
+    };
+    match run() {
+        Ok(()) => Outcome::Passed,
+        Err(msg) => Outcome::Failed(msg),
+    }
+}
+
+/// One rotation of [`check_notifications`]: snapshot every published set,
+/// `rotate`, then check each subscription (`ids[i]` runs `gtps[i]`)
+/// against the oracle. `rotate` returns the published version, the
+/// rotation's deltas in application order, and the notifications.
+fn check_rotation(
+    subs: &twigserve::SubscriptionService,
+    ids: &[twigserve::SubscriptionId],
+    gtps: &[Gtp],
+    rotate: impl FnOnce() -> Result<(u64, Vec<EditDelta>, Vec<twigserve::SubNotification>), String>,
+) -> Result<(), String> {
+    let before: Vec<ResultSet> = ids
+        .iter()
+        .map(|&id| {
+            subs.matches(id)
+                .expect("registered subscriptions stay live")
+        })
+        .collect();
+    let (version, deltas, notes) = rotate()?;
+    let snap = subs.service().snapshot();
+    let mut notes = notes.into_iter().peekable();
+    for ((&id, gtp), old) in ids.iter().zip(gtps).zip(&before) {
+        let new = evaluate(snap.doc(), gtp);
+        let i = id.index();
+        if subs.matches(id).as_ref() != Some(&new) {
+            return Err(format!(
+                "subscription {i}: published set differs from solo evaluate"
+            ));
+        }
+        let (added, removed) = expected_notification(old, &deltas, &new);
+        match notes.next_if(|n| n.sub == id) {
+            None if added.is_empty() && removed.is_empty() => {}
+            None => return Err(format!("subscription {i}: changed but not notified")),
+            Some(n) if n.version != version => {
+                return Err(format!(
+                    "subscription {i}: version {} vs {version}",
+                    n.version
+                ))
+            }
+            Some(n) if n.added != added || n.removed != removed => {
+                return Err(format!(
+                    "subscription {i}: added {} vs oracle {}, removed {} vs oracle {} rows",
+                    n.added.len(),
+                    added.len(),
+                    n.removed.len(),
+                    removed.len()
+                ))
+            }
+            Some(_) => {}
+        }
+    }
+    match notes.next() {
+        Some(n) => Err(format!(
+            "unexpected notification for subscription {}",
+            n.sub.index()
+        )),
+        None => Ok(()),
+    }
 }
 
 /// First structural difference between an incrementally-patched index
@@ -1020,6 +1209,54 @@ mod tests {
             EditScript::parse("delete 0 ; insert - 0 <a><b/></a> ; insert 0 1 <c><b/></c>")
                 .unwrap();
         assert_eq!(check_script(&doc, &gtp, &script), Outcome::Passed);
+    }
+
+    #[test]
+    fn check_script_notifications_cover_renumber_revive_groups_and_optionals() {
+        let doc = parse("<a><b><c/></b><b/><d/></a>").unwrap();
+        let script = EditScript::parse(
+            "insert 0 1 <b><c/><c/></b> ; insert 1 0 <c/> ; delete 5 ; delete 0 ; \
+             insert - 0 <a><b/><b><c/></b></a> ; replace 1 <b><c/></b> ; insert 0 0 <d/>",
+        )
+        .unwrap();
+        let steps = script.apply(&doc).unwrap();
+        assert!(
+            steps.iter().any(|(_, d)| d.renumbered),
+            "no step renumbered"
+        );
+        assert!(
+            steps.iter().any(|(d, _)| d.is_empty()),
+            "no step emptied the document"
+        );
+        for q in ["//a/b//c", "//a/b[?c@]", "//a/b@[.//c!]", "//a[?d]/b"] {
+            let gtp = parse_twig(q).unwrap();
+            assert_eq!(check_script(&doc, &gtp, &script), Outcome::Passed, "{q}");
+        }
+    }
+
+    #[test]
+    fn expected_notification_retires_rows_that_lose_a_group_member() {
+        let doc = parse("<a><b/><b/><c/></a>").unwrap();
+        let gtp = parse_twig("//a/b@").unwrap();
+        let old = evaluate(&doc, &gtp);
+        let op = EditOp::DeleteSubtree {
+            target: NodeId::from_index(2),
+        };
+        let (edited, delta) = xmldom::apply_op(&doc, &op).unwrap();
+        let new = evaluate(&edited, &gtp);
+        let (added, removed) = expected_notification(&old, &[delta], &new);
+        assert_eq!(
+            (added, removed),
+            (new, old.clone()),
+            "the group changed wholesale"
+        );
+        // A splice after every matched id changes nothing.
+        let op = EditOp::DeleteSubtree {
+            target: NodeId::from_index(3),
+        };
+        let (edited, delta) = xmldom::apply_op(&doc, &op).unwrap();
+        let (added, removed) = expected_notification(&old, &[delta], &evaluate(&edited, &gtp));
+        assert!(added.is_empty() && removed.is_empty());
     }
 
     #[test]

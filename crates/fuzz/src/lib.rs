@@ -47,7 +47,8 @@ pub use corpus::{write_case, CaseFile};
 pub use edits::{derive_script, EditScript, ScriptOp, DERIVED_STEPS};
 pub use gen::{generate_query, GenConfig};
 pub use invariants::{
-    check, check_case, check_catalog, check_script, CaseOutcome, Invariant, Outcome,
+    check, check_case, check_catalog, check_notifications, check_script, expected_notification,
+    CaseOutcome, Invariant, Outcome,
 };
 pub use session::{run_session, Dataset, FailureCase, SessionConfig, SessionReport};
 pub use shrink::{copy_without, shrink, shrink_script};

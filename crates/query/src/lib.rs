@@ -36,6 +36,6 @@ pub use cost::QueryEstimate;
 pub use exec::{CancelToken, QueryError};
 pub use gtp::{Axis, Edge, Gtp, GtpBuilder, NodeTest, QNodeId, Role, ValuePred};
 pub use parse::{parse_twig, QueryParseError};
-pub use results::{Cell, ResultSet};
+pub use results::{cmp_rows, cmp_rows_by, Cell, ResultSet};
 pub use serialize::{serialize, structurally_equal};
 pub use xquery::{translate, XQueryError};

@@ -6,6 +6,7 @@
 //! ordered list of all matches grouped under their common ancestor match.
 
 use crate::gtp::QNodeId;
+use std::cmp::Ordering;
 use std::fmt;
 use xmldom::NodeId;
 
@@ -99,18 +100,37 @@ impl ResultSet {
     }
 }
 
-fn cell_key(c: &Cell) -> (u8, Vec<NodeId>) {
-    match c {
-        Cell::Null => (0, Vec::new()),
-        Cell::Node(n) => (1, vec![*n]),
-        Cell::Group(g) => (2, g.clone()),
-    }
+/// The canonical row order: lexicographic over cells, then by length.
+/// Cells order `Null < Node < Group`; nodes by id (document order), groups
+/// lexicographically by their member ids. Allocation-free. Twig²Stack's
+/// enumeration emits rows in this order, which is what lets the
+/// subscription layer diff two match sets by one merge.
+pub fn cmp_rows(a: &[Cell], b: &[Cell]) -> Ordering {
+    cmp_rows_by(a, b, |n| n)
 }
 
-fn cmp_rows(a: &[Cell], b: &[Cell]) -> std::cmp::Ordering {
-    let ka: Vec<_> = a.iter().map(cell_key).collect();
-    let kb: Vec<_> = b.iter().map(cell_key).collect();
-    ka.cmp(&kb)
+/// [`cmp_rows`] of `a` with every node id read through `key` (e.g.
+/// carried across an edit into `b`'s snapshot) against `b`, without
+/// building the mapped row.
+pub fn cmp_rows_by(a: &[Cell], b: &[Cell], key: impl Fn(NodeId) -> NodeId) -> Ordering {
+    fn rank(c: &Cell) -> u8 {
+        match c {
+            Cell::Null => 0,
+            Cell::Node(_) => 1,
+            Cell::Group(_) => 2,
+        }
+    }
+    for (x, y) in a.iter().zip(b) {
+        let ord = match (x, y) {
+            (Cell::Node(p), Cell::Node(q)) => key(*p).cmp(q),
+            (Cell::Group(p), Cell::Group(q)) => p.iter().map(|&n| key(n)).cmp(q.iter().copied()),
+            _ => rank(x).cmp(&rank(y)),
+        };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 impl fmt::Display for ResultSet {
@@ -156,6 +176,34 @@ mod tests {
         b.push(vec![Cell::Node(n(2))]);
         assert_ne!(a, b);
         assert_eq!(a.sorted(), b.sorted());
+    }
+
+    #[test]
+    fn row_order_is_null_node_group_then_length() {
+        let rows = [
+            vec![Cell::Null],
+            vec![Cell::Null, Cell::Node(n(0))],
+            vec![Cell::Node(n(1))],
+            vec![Cell::Node(n(2))],
+            vec![Cell::Group(vec![])],
+            vec![Cell::Group(vec![n(1)])],
+            vec![Cell::Group(vec![n(1), n(0)])],
+            vec![Cell::Group(vec![n(2)])],
+        ];
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in rows.iter().enumerate() {
+                assert_eq!(cmp_rows(a, b), i.cmp(&j), "{a:?} vs {b:?}");
+            }
+        }
+        let shifted = |id: NodeId| NodeId::from_index(id.index() + 1);
+        assert_eq!(
+            cmp_rows_by(
+                &[Cell::Group(vec![n(1), n(2)])],
+                &[Cell::Group(vec![n(2), n(3)])],
+                shifted
+            ),
+            Ordering::Equal
+        );
     }
 
     #[test]

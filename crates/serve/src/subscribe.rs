@@ -21,11 +21,11 @@
 //! rotation since the last notification, never lost.
 
 use crate::{BatchEditReceipt, EditReceipt, QueryService, ServeError, Snapshot};
-use gtpquery::{parse_twig, Cell, Gtp, ResultSet};
-use std::collections::HashSet;
+use gtpquery::{cmp_rows, cmp_rows_by, parse_twig, Cell, Gtp, ResultSet};
+use std::cmp::Ordering;
 use std::sync::{Arc, Mutex};
 use twig2stack::{run_subscriptions_doc, MatchOptions, SharedAutomaton};
-use xmldom::{EditDelta, EditOp};
+use xmldom::{EditDelta, EditOp, NodeId};
 
 /// Handle for one registered subscription. Ids are never reused: an
 /// unregistered id stays dead.
@@ -54,70 +54,6 @@ pub struct SubNotification {
     pub removed: ResultSet,
 }
 
-/// A result cell keyed for cross-snapshot row identity.
-///
-/// `NodeId`s are dense preorder arena indices, so a raw id cannot
-/// identify an element across rotations: a splice shifts every id at or
-/// after the splice point. (Region tag positions are no better — the
-/// first insert into a dense document renumbers all of them.) What *is*
-/// exact is the edit layer's own bookkeeping: every [`EditDelta`]
-/// records the splice coordinates, and [`EditDelta::id_shift`] maps
-/// surviving pre-edit ids onto post-edit ids. So keys hold node ids,
-/// and [`remap_keys`] carries a slot's stored keys through each applied
-/// delta before diffing — renumbering is irrelevant to this scheme.
-/// `Gone` marks a key that referenced a deleted node; fresh keys never
-/// contain it, so such rows always diff as removed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyCell {
-    Node(u32),
-    Null,
-    Group(Vec<u32>),
-    Gone,
-}
-
-type RowKey = Vec<KeyCell>;
-
-/// Identity keys for every row of `rs`, in the node-id coordinates of
-/// the snapshot the rows were computed on.
-fn row_keys(rs: &ResultSet) -> Vec<RowKey> {
-    rs.rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|c| match c {
-                    Cell::Node(n) => KeyCell::Node(n.index() as u32),
-                    Cell::Null => KeyCell::Null,
-                    Cell::Group(g) => KeyCell::Group(g.iter().map(|n| n.index() as u32).collect()),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Carry stored row keys across one applied edit via
-/// [`EditDelta::map_id`]: ids before the splice are unchanged, ids
-/// inside the removed range become [`KeyCell::Gone`], ids after it
-/// shift by [`EditDelta::id_shift`]. A group cell that loses any member
-/// goes `Gone` wholesale — its row's grouping changed, which correctly
-/// surfaces as removed + re-added.
-fn remap_keys(keys: &mut [RowKey], delta: &EditDelta) {
-    for key in keys {
-        for cell in key {
-            let mapped = match cell {
-                KeyCell::Node(n) => delta.map_id(*n).map(KeyCell::Node),
-                KeyCell::Group(g) => g
-                    .iter()
-                    .map(|&n| delta.map_id(n))
-                    .collect::<Option<Vec<u32>>>()
-                    .map(KeyCell::Group),
-                KeyCell::Null => Some(KeyCell::Null),
-                KeyCell::Gone => Some(KeyCell::Gone),
-            };
-            *cell = mapped.unwrap_or(KeyCell::Gone);
-        }
-    }
-}
-
 /// One registered subscription's standing state.
 struct Slot {
     query: String,
@@ -126,10 +62,6 @@ struct Slot {
     /// updated by every notification pass). Node ids refer to the
     /// snapshot the set was computed on.
     last: ResultSet,
-    /// Identity keys for `last`, row-aligned, kept in the *current*
-    /// snapshot's node-id coordinates by [`remap_keys`] on every edit
-    /// applied through the wrapper — the basis of the delta diff.
-    last_keys: Vec<RowKey>,
 }
 
 /// Registry + cached automaton. The automaton is invalidated by
@@ -164,7 +96,7 @@ impl Registry {
 }
 
 /// Continuous multi-query subscriptions over a [`QueryService`]
-/// (ROADMAP item 2; DESIGN.md §17).
+/// (DESIGN.md §17).
 pub struct SubscriptionService {
     svc: Arc<QueryService>,
     registry: Mutex<Registry>,
@@ -196,13 +128,11 @@ impl SubscriptionService {
             .expect("subscription registry poisoned");
         let snap = self.svc.snapshot();
         let last = twig2stack::evaluate(snap.doc(), &gtp);
-        let last_keys = row_keys(&last);
         let id = SubscriptionId(reg.slots.len() as u32);
         reg.slots.push(Some(Slot {
             query: query.to_string(),
             gtp,
             last,
-            last_keys,
         }));
         reg.auto = None;
         Ok(id)
@@ -272,8 +202,7 @@ impl SubscriptionService {
             .lock()
             .expect("subscription registry poisoned");
         let receipt = self.svc.apply_edit(op)?;
-        Self::remap_slots(&mut reg, std::slice::from_ref(&receipt.delta));
-        let notes = self.notify(&mut reg);
+        let notes = self.notify(&mut reg, std::slice::from_ref(&receipt.delta));
         Ok((receipt, notes))
     }
 
@@ -289,42 +218,31 @@ impl SubscriptionService {
             .lock()
             .expect("subscription registry poisoned");
         let receipt = self.svc.apply_edits(ops)?;
-        Self::remap_slots(&mut reg, &receipt.deltas);
-        let notes = self.notify(&mut reg);
+        let notes = self.notify(&mut reg, &receipt.deltas);
         Ok((receipt, notes))
-    }
-
-    /// Carry every live slot's stored keys through the deltas of a
-    /// rotation just applied through the wrapper, composing them in
-    /// application order (delta `i` maps intermediate state `i` ids to
-    /// state `i + 1` — see [`BatchEditReceipt::deltas`]).
-    fn remap_slots(reg: &mut Registry, deltas: &[EditDelta]) {
-        for slot in reg.slots.iter_mut().flatten() {
-            for delta in deltas {
-                remap_keys(&mut slot.last_keys, delta);
-            }
-        }
     }
 
     /// Recompute every subscription against the *current* snapshot and
     /// emit the deltas — catches rotations applied directly on the
     /// wrapped service. Such rotations carry no [`EditDelta`] the
-    /// wrapper can observe, so stored keys are diffed as-is: the match
-    /// *sets* are always exact, but added/removed attribution is
-    /// best-effort when a bypassing splice shifted ids of surviving
+    /// wrapper can observe, so old rows are diffed with their ids as-is:
+    /// the match *sets* are always exact, but added/removed attribution
+    /// is best-effort when a bypassing splice shifted ids of surviving
     /// rows. Apply edits through the wrapper for exact deltas.
     pub fn poll(&self) -> Vec<SubNotification> {
         let mut reg = self
             .registry
             .lock()
             .expect("subscription registry poisoned");
-        self.notify(&mut reg)
+        self.notify(&mut reg, &[])
     }
 
     /// One pass: run the shared automaton over the current snapshot's
     /// document (value predicates resolve against it as the text
-    /// source), diff per subscription, publish.
-    fn notify(&self, reg: &mut Registry) -> Vec<SubNotification> {
+    /// source), diff every subscription against its last published set
+    /// carried through `deltas` (the rotation just applied through the
+    /// wrapper, in application order), publish.
+    fn notify(&self, reg: &mut Registry, deltas: &[EditDelta]) -> Vec<SubNotification> {
         if reg.live().next().is_none() {
             return Vec::new();
         }
@@ -340,10 +258,8 @@ impl SubscriptionService {
             let slot = reg.slots[slot_index]
                 .as_mut()
                 .expect("automaton maps only live slots");
-            let fresh_keys = row_keys(&fresh);
-            let (added, removed) = diff(&slot.last, &slot.last_keys, &fresh, &fresh_keys);
-            slot.last = fresh;
-            slot.last_keys = fresh_keys;
+            let old = std::mem::replace(&mut slot.last, fresh);
+            let (added, removed) = diff(old, deltas, &slot.last);
             if !added.is_empty() || !removed.is_empty() {
                 twigobs::bump(twigobs::Counter::SubNotifications);
                 notes.push(SubNotification {
@@ -358,31 +274,73 @@ impl SubscriptionService {
     }
 }
 
-/// Row-level set difference in both directions, keyed on delta-remapped
-/// node ids (see [`KeyCell`]). Both inputs are duplicate-free
-/// (enumeration guarantees it), so hash-set membership is exact; row
-/// order within each delta follows the source set's document order.
-/// `added` rows carry the *new* snapshot's node ids; `removed` rows
-/// carry the *previous* snapshot's (those elements no longer exist).
-fn diff(
-    old: &ResultSet,
-    old_keys: &[RowKey],
-    new: &ResultSet,
-    new_keys: &[RowKey],
-) -> (ResultSet, ResultSet) {
-    let old_set: HashSet<&RowKey> = old_keys.iter().collect();
-    let new_set: HashSet<&RowKey> = new_keys.iter().collect();
-    let mut added = ResultSet::new(new.columns.clone());
-    for (row, key) in new.rows.iter().zip(new_keys) {
-        if !old_set.contains(key) {
-            added.push(row.clone());
-        }
+/// Row-level set difference in both directions by one ordered merge.
+///
+/// Row identity across snapshots rides on the edit layer's own
+/// bookkeeping: node ids are dense preorder indices that shift on every
+/// splice, and [`EditDelta::map_id`] carries a surviving pre-edit id onto
+/// its post-edit id (composed over `deltas` in application order; see
+/// [`BatchEditReceipt::deltas`]). An old row with any id in a removed
+/// range — a group that lost any member included — is removed. Every
+/// other old row is compared, with its ids mapped on the fly, against
+/// the new rows. `map_id` is strictly increasing on surviving ids, so
+/// mapping keeps the old rows' [`cmp_rows`] order and one merge of the
+/// two sorted sets finds every match. Both sets are duplicate-free
+/// (enumeration guarantees it) and come out of enumeration already in
+/// that order, so each sort is one linear pass.
+///
+/// `added` keeps `new`'s row order and carries the *new* snapshot's node
+/// ids; `removed` keeps `old`'s row order and carries the *previous*
+/// snapshot's (those elements no longer exist). Removed rows are moved
+/// out of `old`, which is dropped here.
+fn diff(old: ResultSet, deltas: &[EditDelta], new: &ResultSet) -> (ResultSet, ResultSet) {
+    let map = |n: NodeId| {
+        deltas
+            .iter()
+            .try_fold(n.index() as u32, |id, d| d.map_id(id))
+            .map(|id| NodeId::from_index(id as usize))
+    };
+    let survives = |row: &[Cell]| {
+        row.iter().all(|c| match c {
+            Cell::Node(n) => map(*n).is_some(),
+            Cell::Null => true,
+            Cell::Group(g) => g.iter().all(|&n| map(n).is_some()),
+        })
+    };
+    let mapped = |n| map(n).expect("surviving rows map every id");
+    let order = |rs: &ResultSet| {
+        let mut ix: Vec<u32> = (0..rs.rows.len() as u32).collect();
+        ix.sort_unstable_by(|&a, &b| cmp_rows(&rs.rows[a as usize], &rs.rows[b as usize]));
+        ix
+    };
+    let (old_order, new_order) = (order(&old), order(new));
+    let mut is_removed = vec![false; old.rows.len()];
+    let mut is_added = vec![true; new.rows.len()];
+    let mut fresh = new_order.iter().map(|&j| j as usize).peekable();
+    for i in old_order.into_iter().map(|i| i as usize) {
+        let row = &old.rows[i];
+        is_removed[i] = !survives(row)
+            || loop {
+                let Some(&j) = fresh.peek() else { break true };
+                match cmp_rows_by(row, &new.rows[j], mapped) {
+                    // A new row ordered before this one has no old match.
+                    Ordering::Greater => _ = fresh.next(),
+                    Ordering::Equal => {
+                        fresh.next();
+                        is_added[j] = false;
+                        break false;
+                    }
+                    Ordering::Less => break true,
+                }
+            };
     }
-    let mut removed = ResultSet::new(old.columns.clone());
-    for (row, key) in old.rows.iter().zip(old_keys) {
-        if !new_set.contains(key) {
-            removed.push(row.clone());
-        }
+    let mut added = ResultSet::new(new.columns.clone());
+    for (row, _) in new.rows.iter().zip(&is_added).filter(|(_, &a)| a) {
+        added.push(row.clone());
+    }
+    let mut removed = ResultSet::new(old.columns);
+    for (row, _) in old.rows.into_iter().zip(is_removed).filter(|(_, r)| *r) {
+        removed.push(row);
     }
     (added, removed)
 }
@@ -429,5 +387,47 @@ mod tests {
         let op = EditOp::DeleteSubtree { target };
         let (_, notes) = subs.apply_edit(&op).unwrap();
         assert!(notes.is_empty());
+    }
+
+    fn rows(rows: &[&[Cell]]) -> ResultSet {
+        let doc = parse("<a/>").unwrap();
+        let columns = twig2stack::evaluate(&doc, &parse_twig("//a/b").unwrap()).columns;
+        let mut rs = ResultSet::new(columns);
+        for r in rows {
+            rs.push(r.to_vec());
+        }
+        rs
+    }
+
+    #[test]
+    fn diff_merges_mapped_rows_in_any_input_order() {
+        let n = |i| Cell::Node(NodeId::from_index(i));
+        let g = |ids: &[usize]| Cell::Group(ids.iter().map(|&i| NodeId::from_index(i)).collect());
+        // Delete ids 3..5 and insert 1 node there: ids >= 5 shift by -1.
+        let delta = EditDelta {
+            at: 3,
+            removed: 2,
+            inserted: 1,
+            changed_labels: Vec::new(),
+            renumbered: false,
+        };
+        let old = rows(&[
+            &[n(7), g(&[8, 9])], // survives as (6, {7, 8})
+            &[n(1), Cell::Null], // unchanged
+            &[n(2), g(&[4, 6])], // loses a group member
+            &[n(6), g(&[])],     // survives as (5, {}), but gone from new
+        ]);
+        let new = rows(&[
+            &[n(6), g(&[7, 8])],
+            &[n(3), Cell::Null],
+            &[n(1), Cell::Null],
+            &[n(2), g(&[5])],
+        ]);
+        let (added, removed) = diff(old.clone(), &[delta], &new);
+        assert_eq!(added, rows(&[&[n(3), Cell::Null], &[n(2), g(&[5])]]));
+        assert_eq!(removed, rows(&[&[n(2), g(&[4, 6])], &[n(6), g(&[])]]));
+        // No deltas: plain row identity.
+        let (added, removed) = diff(old.clone(), &[], &old);
+        assert!(added.is_empty() && removed.is_empty());
     }
 }
